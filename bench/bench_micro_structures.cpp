@@ -1,60 +1,35 @@
 // Host-level micro-benchmarks (google-benchmark) of the hot simulator
 // structures: Bloom signatures, the summary signature, the redirect table,
-// the cache tag array and the event scheduler. These guard the simulator's
-// own performance -- full-suite experiment time is dominated by exactly
-// these operations.
+// the cache tag array, the flat footprint/map containers and the event
+// scheduler. These are the per-layer rows nothing else measures; end-to-end
+// host speed (events/s, pass CPU time, obs overhead, the sharded machine)
+// comes from perfbench/ (see perfbench/README.md).
 //
-// Besides the google-benchmark suite, main() runs fixed head-to-heads and
-// writes them to BENCH_micro_structures.json:
-//   - the calendar-queue scheduler (per-cycle buckets, batched same-cycle
-//     dispatch) vs the binary-heap scheduler it replaced (SmallFn slot-pool
-//     min-heap, PR 5 state), vs a per-event-dispatch calendar variant
-//     (isolates the batching win), vs the seed implementation
-//     (std::priority_queue of std::function);
-//   - the flat containers (LineSet / FlatMap) vs the node-based
-//     std::unordered_set/map they replaced, on footprint- and
-//     redo-log-shaped churn;
-//   - an end-to-end events/sec number: the bench_scaling part-1 matrix
-//     (scheme x app, 16 simulated cores, scale 0.5) run serially in-process;
-//   - the intra-run PDES head-to-head: one 64-core 4-shard machine driven
-//     by 1 vs 4 host threads (events/sec both ways, speedup, and a
-//     bit-identity verdict -- see DESIGN.md section 14);
-//   - overhead guards for the correctness checker (src/check) and the
-//     observability layer (src/obs): the same matrix with the hooks off
-//     and on, as events/sec ratios.
+// Besides the google-benchmark suite, main() runs the two rows CI gates on
+// and writes them to BENCH_micro_structures.json:
+//   - calendar_vs_heap_speedup: the calendar-queue scheduler (per-cycle
+//     buckets, batched same-cycle dispatch) vs the binary-heap scheduler it
+//     replaced, on the identical churn workload (perf-smoke gate: >= 2x);
+//   - checker_runtime_overhead_pct: the correctness checker (src/check) off
+//     vs on over a small scheme x app matrix, ABBA rounds on CPU time
+//     (perf-smoke gate: <= 40%).
 //
-// Usage: bench_micro_structures [gbench args] [--baseline-events-per-sec X]
-//                               [--smoke]
-//   X is the events_per_sec_jobs1 reported by a main-built bench_scaling on
-//   this host (BENCH_scaling.json); when given, the report also records the
-//   end-to-end speedup of this build over that baseline.
-//   --smoke runs only the scheduler head-to-head, a small PDES
-//   bit-identity run and the checker-overhead measurement (seconds, not
-//   minutes) and still writes the JSON report -- the CI perf-smoke job
-//   gates on its calendar_vs_heap_speedup and checker_runtime_overhead_pct
-//   rows and pdes-smoke on its pdes_bit_identical row.
+// Usage: bench_micro_structures [gbench args] [--smoke]
+//   --smoke skips the google-benchmark suite and runs a shorter scheduler
+//   head-to-head and three checker rounds (seconds, not minutes); it still
+//   writes both gated rows.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <ctime>
-#include <functional>
-#include <queue>
 #include <vector>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "check/check.hpp"
 #include "common/flat_hash.hpp"
-#include "stamp/sharded_kv.hpp"
 #include "common/rng.hpp"
 #include "htm/signature.hpp"
 #include "mem/cache.hpp"
-#include "obs/obs.hpp"
 #include "runner/bench_report.hpp"
 #include "runner/cli.hpp"
 #include "runner/experiment.hpp"
@@ -67,53 +42,10 @@ using namespace suvtm;
 
 namespace {
 
-// The seed scheduler, verbatim in shape: callbacks are std::function (whose
-// typical 24-byte coroutine-resumption capture exceeds libstdc++'s inline
-// buffer, so every schedule allocates) and popping the priority_queue copies
-// the event out because top() is const.
-class LegacyScheduler {
- public:
-  Cycle now() const { return now_; }
-  void at(Cycle t, std::function<void()> fn) {
-    queue_.push(Event{t, seq_++, std::move(fn)});
-  }
-  void after(Cycle delay, std::function<void()> fn) {
-    at(now_ + delay, std::move(fn));
-  }
-  bool run(Cycle limit) {
-    while (!queue_.empty()) {
-      if (queue_.top().t > limit) return false;
-      Event ev = queue_.top();
-      queue_.pop();
-      now_ = ev.t;
-      ++events_;
-      ev.fn();
-    }
-    return true;
-  }
-  std::uint64_t events_processed() const { return events_; }
-
- private:
-  struct Event {
-    Cycle t;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-    }
-  };
-  Cycle now_ = 0;
-  std::uint64_t seq_ = 0;
-  std::uint64_t events_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
-
-// The PR 5 scheduler, verbatim in shape: a hand-rolled binary min-heap of
-// (t, seq, slot) POD keys over a free-listed SmallFn slot pool. This is the
-// binary-heap baseline the calendar queue replaced -- the head-to-head the
-// CI perf-smoke job gates on.
+// The binary-heap scheduler the calendar queue replaced, verbatim in shape:
+// a hand-rolled min-heap of (t, seq, slot) POD keys over a free-listed
+// SmallFn slot pool. It is kept only as the reference of the head-to-head
+// the CI perf-smoke job gates on.
 class BaselineHeapScheduler {
  public:
   Cycle now() const { return now_; }
@@ -198,144 +130,6 @@ class BaselineHeapScheduler {
   std::vector<std::uint32_t> free_slots_;
 };
 
-// The production calendar queue minus batching: same wheel geometry, same
-// occupancy bitmap, same SmallFn slot pool, but run() dispatches ONE event
-// per scan -- the bitmap walk, bucket bookkeeping and now_ advance are paid
-// per event instead of per cycle. The gap between this row and the
-// production scheduler is exactly the batched-dispatch win.
-class CalendarPerEventScheduler {
- public:
-  static constexpr std::uint32_t kWheelBits = 11;
-  static constexpr std::uint32_t kWheelSize = 1u << kWheelBits;
-  static constexpr Cycle kWheelMask = kWheelSize - 1;
-
-  CalendarPerEventScheduler() : wheel_(kWheelSize) {}
-
-  Cycle now() const { return now_; }
-
-  void at(Cycle t, sim::SmallFn fn) {
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(std::move(fn));
-      free_slots_.reserve(slots_.capacity());
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      slots_[slot] = std::move(fn);
-    }
-    ++pending_;
-    if (t - window_start_ < kWheelSize) {
-      const std::uint32_t idx = static_cast<std::uint32_t>(t & kWheelMask);
-      wheel_[idx].push_back(slot);
-      occ_[idx >> 6] |= 1ull << (idx & 63u);
-      occ_summary_ |= 1ull << (idx >> 6);
-      ++window_count_;
-      if (t < scan_t_) scan_t_ = t;
-    } else {
-      overflow_.push_back(Key{t, seq_, slot});
-      std::push_heap(overflow_.begin(), overflow_.end(), Key::later);
-    }
-    ++seq_;
-  }
-
-  void after(Cycle delay, sim::SmallFn fn) { at(now_ + delay, std::move(fn)); }
-
-  bool run(Cycle limit) {
-    while (pending_ > 0) {
-      if (window_count_ == 0) {
-        const Cycle t0 = overflow_.front().t;
-        if (t0 > limit) return false;
-        window_start_ = t0;
-        scan_t_ = t0;
-        while (!overflow_.empty() &&
-               overflow_.front().t - window_start_ < kWheelSize) {
-          std::pop_heap(overflow_.begin(), overflow_.end(), Key::later);
-          const Key k = overflow_.back();
-          overflow_.pop_back();
-          const std::uint32_t idx =
-              static_cast<std::uint32_t>(k.t & kWheelMask);
-          wheel_[idx].push_back(k.slot);
-          occ_[idx >> 6] |= 1ull << (idx & 63u);
-          occ_summary_ |= 1ull << (idx >> 6);
-          ++window_count_;
-        }
-      }
-      // Per-event scan: one bitmap walk and one bucket-head pop per event.
-      const std::uint32_t idx0 =
-          static_cast<std::uint32_t>(scan_t_ & kWheelMask);
-      const std::uint32_t idx = next_occupied(idx0);
-      scan_t_ += (idx - idx0) & kWheelMask;
-      if (scan_t_ > limit) return false;
-      Bucket& b = wheel_[idx];
-      const std::uint32_t slot = b[head_ == idx ? cursor_ : 0];
-      if (head_ != idx) {
-        head_ = idx;
-        cursor_ = 0;
-      }
-      ++cursor_;
-      now_ = scan_t_;
-      sim::SmallFn fn = std::move(slots_[slot]);
-      free_slots_.push_back(slot);
-      ++events_;
-      --pending_;
-      --window_count_;
-      if (cursor_ >= b.size()) {
-        b.clear();
-        head_ = ~0u;
-        cursor_ = 0;
-        occ_[idx >> 6] &= ~(1ull << (idx & 63u));
-        if (occ_[idx >> 6] == 0) occ_summary_ &= ~(1ull << (idx >> 6));
-        ++scan_t_;
-      }
-      fn();
-    }
-    return true;
-  }
-
-  std::uint64_t events_processed() const { return events_; }
-
- private:
-  struct Key {
-    Cycle t;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    static bool later(const Key& a, const Key& b) {
-      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-    }
-  };
-  using Bucket = std::vector<std::uint32_t>;
-  static constexpr std::uint32_t kOccWords = kWheelSize / 64;
-
-  std::uint32_t next_occupied(std::uint32_t from) const {
-    const std::uint32_t w0 = from >> 6;
-    const std::uint64_t head = occ_[w0] & (~0ull << (from & 63u));
-    if (head != 0) {
-      return (w0 << 6) | static_cast<std::uint32_t>(std::countr_zero(head));
-    }
-    const std::uint64_t above = occ_summary_ & (~0ull << (w0 + 1));
-    const std::uint32_t w = static_cast<std::uint32_t>(
-        std::countr_zero(above != 0 ? above : occ_summary_));
-    return (w << 6) | static_cast<std::uint32_t>(std::countr_zero(occ_[w]));
-  }
-
-  Cycle now_ = 0;
-  Cycle window_start_ = 0;
-  Cycle scan_t_ = 0;
-  std::uint64_t seq_ = 0;
-  std::uint64_t events_ = 0;
-  std::size_t pending_ = 0;
-  std::size_t window_count_ = 0;
-  std::uint32_t head_ = ~0u;   // bucket index cursor_ refers to
-  std::uint32_t cursor_ = 0;   // events already drained from head_
-  std::vector<Bucket> wheel_;
-  std::uint64_t occ_[kOccWords] = {};
-  std::uint64_t occ_summary_ = 0;
-  std::vector<Key> overflow_;
-  std::vector<sim::SmallFn> slots_;
-  std::vector<std::uint32_t> free_slots_;
-};
-
 // Simulator-shaped event churn: kChains self-rescheduling handlers (one per
 // simulated core plus mesh traffic) whose captures match the hot
 // [this, &aw, h] lambdas in ThreadContext (24 bytes).
@@ -370,10 +164,8 @@ std::uint64_t scheduler_churn(std::uint64_t target_events) {
 // path (paper Table IV: write sets of tens of lines, reads outnumbering
 // writes ~2:1, every access membership-probing both sets): build a 40-line
 // write set and an 80-access read set with duplicate hits, then clear.
-// Works on LineSet and std::unordered_set<LineAddr> alike.
-template <class Set>
 std::uint64_t footprint_churn(std::uint64_t rounds) {
-  Set reads, writes;
+  LineSet reads, writes;
   std::uint64_t x = 0x243f6a8885a308d3ull;
   std::uint64_t acc = 0;
   for (std::uint64_t r = 0; r < rounds; ++r) {
@@ -399,11 +191,9 @@ std::uint64_t footprint_churn(std::uint64_t rounds) {
 constexpr std::uint64_t kFootprintOpsPerRound = 320;
 
 // Redo-log / page-map churn: try_emplace-or-overwrite plus lookups over a
-// 1K-key working set, cleared per round (commit/abort). Works on
-// FlatMap<u64,u64> and std::unordered_map<u64,u64> alike.
-template <class Map>
+// 1K-key working set, cleared per round (commit/abort).
 std::uint64_t map_churn(std::uint64_t rounds) {
-  Map m;
+  FlatMap<std::uint64_t, std::uint64_t> m;
   std::uint64_t x = 0x452821e638d01377ull;
   std::uint64_t acc = 0;
   for (std::uint64_t r = 0; r < rounds; ++r) {
@@ -508,42 +298,21 @@ BENCHMARK(BM_CacheInsertEvict);
 
 void BM_FootprintChurnFlat(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(footprint_churn<LineSet>(100));
+    benchmark::DoNotOptimize(footprint_churn(100));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100 *
                           static_cast<std::int64_t>(kFootprintOpsPerRound));
 }
 BENCHMARK(BM_FootprintChurnFlat);
 
-void BM_FootprintChurnNode(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        footprint_churn<std::unordered_set<LineAddr>>(100));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100 *
-                          static_cast<std::int64_t>(kFootprintOpsPerRound));
-}
-BENCHMARK(BM_FootprintChurnNode);
-
 void BM_MapChurnFlat(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        map_churn<FlatMap<std::uint64_t, std::uint64_t>>(100));
+    benchmark::DoNotOptimize(map_churn(100));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100 *
                           static_cast<std::int64_t>(kMapOpsPerRound));
 }
 BENCHMARK(BM_MapChurnFlat);
-
-void BM_MapChurnNode(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        map_churn<std::unordered_map<std::uint64_t, std::uint64_t>>(100));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100 *
-                          static_cast<std::int64_t>(kMapOpsPerRound));
-}
-BENCHMARK(BM_MapChurnNode);
 
 void BM_SchedulerEventChurn(benchmark::State& state) {
   for (auto _ : state) {
@@ -554,18 +323,9 @@ void BM_SchedulerEventChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerEventChurn);
 
-void BM_SchedulerEventChurnLegacy(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler_churn<LegacyScheduler>(100000));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          100000);
-}
-BENCHMARK(BM_SchedulerEventChurnLegacy);
-
-/// Fixed head-to-head for the JSON report: events/sec through each
-/// scheduler implementation on the identical churn workload. The
-/// calendar-vs-heap ratio is the row the CI perf-smoke job gates on (>= 2x).
+/// Fixed head-to-head for the JSON report: events/sec through the calendar
+/// queue and the binary heap on the identical churn workload. The ratio is
+/// the row the CI perf-smoke job gates on (>= 2x).
 void scheduler_report(runner::BenchReport& report, bool smoke) {
   const std::uint64_t kEvents = smoke ? 500'000 : 2'000'000;
   const auto timed = [&](auto tag) {
@@ -578,176 +338,19 @@ void scheduler_report(runner::BenchReport& report, bool smoke) {
   };
 
   const double eps_cal = timed(sim::Scheduler{});
-  const double eps_per_event = timed(CalendarPerEventScheduler{});
   const double eps_heap = timed(BaselineHeapScheduler{});
-  const double eps_legacy = timed(LegacyScheduler{});
-
   const double vs_heap = eps_heap > 0 ? eps_cal / eps_heap : 0.0;
-  const double vs_per_event = eps_per_event > 0 ? eps_cal / eps_per_event : 0.0;
-  const double vs_legacy = eps_legacy > 0 ? eps_cal / eps_legacy : 0.0;
   std::printf("\nscheduler head-to-head (%llu events):\n"
               "  calendar queue (batched)  : %12.0f events/s\n"
-              "  calendar, per-event       : %12.0f events/s\n"
-              "  binary heap (PR 5)        : %12.0f events/s\n"
-              "  legacy std::function heap : %12.0f events/s\n"
-              "  calendar vs heap          : %.2fx\n"
-              "  batched vs per-event      : %.2fx\n"
-              "  calendar vs legacy        : %.2fx\n",
-              static_cast<unsigned long long>(kEvents), eps_cal, eps_per_event,
-              eps_heap, eps_legacy, vs_heap, vs_per_event, vs_legacy);
+              "  binary heap               : %12.0f events/s\n"
+              "  calendar vs heap          : %.2fx\n",
+              static_cast<unsigned long long>(kEvents), eps_cal, eps_heap,
+              vs_heap);
 
   report.set("scheduler_events", kEvents);
   report.set("events_per_sec_calendar_queue", eps_cal);
-  report.set("events_per_sec_calendar_per_event", eps_per_event);
   report.set("events_per_sec_binary_heap", eps_heap);
-  report.set("events_per_sec_legacy_stdfunction", eps_legacy);
   report.set("calendar_vs_heap_speedup", vs_heap);
-  report.set("batched_vs_per_event_speedup", vs_per_event);
-  report.set("scheduler_speedup", vs_legacy);
-}
-
-/// Fixed flat-vs-node container head-to-heads on the same churn workloads
-/// the google-benchmark rows measure.
-void container_report(runner::BenchReport& report) {
-  constexpr std::uint64_t kRounds = 20'000;
-  struct Row {
-    const char* name;
-    std::uint64_t ops_per_round;
-    std::uint64_t (*flat)(std::uint64_t);
-    std::uint64_t (*node)(std::uint64_t);
-  };
-  const Row rows[] = {
-      {"footprint", kFootprintOpsPerRound, footprint_churn<LineSet>,
-       footprint_churn<std::unordered_set<LineAddr>>},
-      {"map", kMapOpsPerRound,
-       map_churn<FlatMap<std::uint64_t, std::uint64_t>>,
-       map_churn<std::unordered_map<std::uint64_t, std::uint64_t>>},
-  };
-  std::printf("\ncontainer head-to-heads (%llu rounds each):\n",
-              static_cast<unsigned long long>(kRounds));
-  for (const Row& row : rows) {
-    row.flat(kRounds / 10);  // warm allocators/caches before timing
-    row.node(kRounds / 10);
-    runner::WallTimer tf;
-    benchmark::DoNotOptimize(row.flat(kRounds));
-    const double sf = tf.seconds();
-    runner::WallTimer tn;
-    benchmark::DoNotOptimize(row.node(kRounds));
-    const double sn = tn.seconds();
-    const double total = static_cast<double>(kRounds * row.ops_per_round);
-    const double ops_flat = sf > 0 ? total / sf : 0.0;
-    const double ops_node = sn > 0 ? total / sn : 0.0;
-    const double ratio = ops_node > 0 ? ops_flat / ops_node : 0.0;
-    std::printf("  %-9s: flat %12.0f ops/s   node %12.0f ops/s   %.2fx\n",
-                row.name, ops_flat, ops_node, ratio);
-    report.set(std::string(row.name) + "_ops_per_sec_flat", ops_flat);
-    report.set(std::string(row.name) + "_ops_per_sec_node", ops_node);
-    report.set(std::string(row.name) + "_container_speedup", ratio);
-  }
-}
-
-/// End-to-end events/sec: the bench_scaling part-1 matrix (scheme x app,
-/// 16 simulated cores, scale 0.5 -- the default config) run serially in
-/// this process. `baseline_eps`, when > 0, is the same number measured from
-/// a main-built bench_scaling; the ratio lands in the report.
-void end_to_end_report(runner::BenchReport& report, double baseline_eps) {
-  stamp::SuiteParams params;
-  params.scale = 0.5;
-  std::vector<runner::RunPoint> points;
-  for (sim::Scheme s : {sim::Scheme::kLogTmSe, sim::Scheme::kFasTm,
-                        sim::Scheme::kSuv}) {
-    sim::SimConfig cfg;
-    cfg.scheme = s;
-    cfg.mem.num_cores = 16;
-    for (stamp::AppId app : stamp::all_apps()) {
-      points.push_back(runner::RunPoint{app, cfg, params});
-    }
-  }
-  runner::ParallelExecutor serial(1);
-  runner::run_matrix(points, serial);  // warm
-  runner::WallTimer t;
-  const auto results = runner::run_matrix(points, serial);
-  const double s = t.seconds();
-  std::uint64_t events = 0;
-  for (const auto& r : results) events += r.sim_events;
-  const double eps = s > 0 ? static_cast<double>(events) / s : 0.0;
-  std::printf("\nend-to-end (scheme x app matrix, 16 cores, scale 0.5):\n"
-              "  %zu runs, %llu events in %.2f s -> %.0f events/s\n",
-              points.size(), static_cast<unsigned long long>(events), s, eps);
-  report.set("end_to_end_sweep_runs",
-             static_cast<std::uint64_t>(points.size()));
-  report.set("end_to_end_sim_events", events);
-  report.set("end_to_end_events_per_sec", eps);
-  if (baseline_eps > 0) {
-    const double speedup = eps / baseline_eps;
-    std::printf("  main baseline %.0f events/s -> %.2fx\n", baseline_eps,
-                speedup);
-    report.set("baseline_main_events_per_sec", baseline_eps);
-    report.set("end_to_end_speedup_vs_main", speedup);
-  }
-}
-
-/// Intra-run shard parallelism (conservative PDES): one 64-simulated-core
-/// sharded machine (8x8 mesh, 4 shards, SUV) running the sharded_kv kernel
-/// with 1 vs 4 host threads. Reports simulated events/sec for both, the
-/// speedup, and whether the two runs' full RunResults were bit-identical
-/// (they must be -- host threads are a pure execution knob). The report
-/// also records the measuring host's CPU count: on a host with fewer than
-/// 4 CPUs the speedup row measures scheduling overhead, not parallelism,
-/// so consumers (the CI pdes-smoke gate, the README table) must treat it
-/// as meaningful only when pdes_host_cpus >= 4. The CI job gates on
-/// pdes_bit_identical from a fresh --smoke run unconditionally.
-void pdes_report(runner::BenchReport& report, bool smoke) {
-  sim::SimConfig cfg;
-  cfg.scheme = sim::Scheme::kSuv;
-  cfg.mem.num_cores = 64;
-  cfg.mem.mesh_dim = 8;
-  cfg.pdes.shards = 4;
-
-  stamp::ShardedKvParams p;
-  p.ops_per_thread = smoke ? 200 : 4000;
-  p.txn_keys = 128;
-  p.keys_per_txn = 4;
-  p.remote_read_every = 8;
-
-  const auto run_once = [&](std::uint32_t host_threads, double* secs) {
-    cfg.pdes.host_threads = host_threads;
-    sim::Simulator sim(cfg);
-    stamp::ShardedKv wl(p);
-    wl.build(sim);
-    runner::WallTimer t;
-    sim.run();
-    *secs = t.seconds();
-    wl.verify(sim);
-    return runner::harvest_result(sim, "sharded_kv");
-  };
-
-  double warm = 0.0;
-  run_once(4, &warm);  // warm allocators/caches (and thread start-up)
-  double s1 = 0.0, s4 = 0.0;
-  const runner::RunResult r1 = run_once(1, &s1);
-  const runner::RunResult r4 = run_once(4, &s4);
-  const bool identical = r1 == r4;
-  const double eps1 = s1 > 0 ? static_cast<double>(r1.sim_events) / s1 : 0.0;
-  const double eps4 = s4 > 0 ? static_cast<double>(r4.sim_events) / s4 : 0.0;
-  const double speedup = eps1 > 0 ? eps4 / eps1 : 0.0;
-  const unsigned host_cpus = std::thread::hardware_concurrency();
-  std::printf("\nintra-run PDES (sharded_kv, 64 cores, 4 shards, SUV):\n"
-              "  1 host thread : %12.0f events/s\n"
-              "  4 host threads: %12.0f events/s   (%.2fx)\n"
-              "  bit-identical : %s\n",
-              eps1, eps4, speedup, identical ? "yes" : "NO");
-  if (host_cpus < 4) {
-    std::printf("  note: only %u host CPU(s) -- the speedup row measures "
-                "overhead, not parallelism, on this host\n", host_cpus);
-  }
-  report.set("pdes_host_cpus", static_cast<std::uint64_t>(host_cpus));
-  report.set("pdes_sim_events", r1.sim_events);
-  report.set("end_to_end_events_per_sec_pdes1", eps1);
-  report.set("end_to_end_events_per_sec_pdes4", eps4);
-  report.set("pdes_speedup_4threads", speedup);
-  report.set("pdes_bit_identical",
-             static_cast<std::uint64_t>(identical ? 1 : 0));
 }
 
 double cpu_seconds() {
@@ -768,11 +371,9 @@ double cpu_seconds() {
 /// matrix off, on, on, off (ABBA -- both arms see both positions, so
 /// monotone drift within a round cancels), on CLOCK_PROCESS_CPUTIME_ID
 /// (immune to descheduling), and the reported overhead is the MEDIAN of
-/// the per-round on/off ratios (robust to frequency spikes). A naive
-/// off-then-on wall-clock pair systematically inflates the ratio by
-/// double-digit points on a throttling host because the second arm always
-/// runs slower; this estimator is what the CI check-overhead gate asserts
-/// against.
+/// the per-round on/off ratios (robust to frequency spikes). Only that
+/// ratio is reported: absolute events/s rows taken from the same rounds
+/// would be a second, disagreeing estimator.
 void checker_overhead_report(runner::BenchReport& report, int rounds) {
   report.set("check_hooks_compiled",
              static_cast<std::uint64_t>(check::kHooksCompiled ? 1 : 0));
@@ -795,13 +396,9 @@ void checker_overhead_report(runner::BenchReport& report, int rounds) {
   const auto off_pts = matrix(false);
   const auto on_pts = matrix(check::kHooksCompiled);
   runner::ParallelExecutor serial(1);
-  std::uint64_t events = 0;
-  for (const auto& r : runner::run_matrix(off_pts, serial)) {  // warm
-    events += r.sim_events;
-  }
-  runner::run_matrix(on_pts, serial);  // warm
+  runner::run_matrix(off_pts, serial);  // warm
+  runner::run_matrix(on_pts, serial);   // warm
   std::vector<double> ratios;
-  double off_min = 1e300, on_min = 1e300;
   for (int r = 0; r < rounds; ++r) {
     const double t0 = cpu_seconds();
     runner::run_matrix(off_pts, serial);
@@ -814,122 +411,35 @@ void checker_overhead_report(runner::BenchReport& report, int rounds) {
     const double t4 = cpu_seconds();
     const double off = (t1 - t0) + (t4 - t3);
     const double on = (t2 - t1) + (t3 - t2);
-    off_min = std::min(off_min, off);
-    on_min = std::min(on_min, on);
     if (off > 0) ratios.push_back(on / off);
   }
   std::sort(ratios.begin(), ratios.end());
   const double ratio = ratios.empty() ? 1.0 : ratios[ratios.size() / 2];
   const double overhead = (ratio - 1.0) * 100.0;
-  // Each arm's time covers two matrix passes; min over rounds is the
-  // least-interfered pass pair, so it anchors the absolute events/s rows.
-  const double eps_off =
-      off_min > 0 ? 2.0 * static_cast<double>(events) / off_min : 0.0;
-  const double eps_on =
-      on_min > 0 ? 2.0 * static_cast<double>(events) / on_min : 0.0;
   std::printf("\nchecker overhead (scheme x app matrix, 16 cores, "
               "scale 0.25, %d ABBA rounds, median CPU-time ratio):\n"
-              "  check off: %10.0f events/s\n"
-              "  check on : %10.0f events/s   (+%.1f%% run time)\n",
-              rounds, eps_off, eps_on, overhead);
-  report.set("events_per_sec_check_off", eps_off);
-  report.set("events_per_sec_check_on", eps_on);
+              "  check on: +%.1f%% run time\n",
+              rounds, overhead);
   report.set("checker_overhead_rounds", static_cast<std::uint64_t>(rounds));
   report.set("checker_runtime_overhead_pct", overhead);
-}
-
-/// Runtime cost of the observability layer (src/obs): the same small
-/// scheme x app matrix with cfg.obs off and with trace + metrics on. The
-/// "off" number is the default hot path in an obs-capable build (hooks
-/// compiled in, recorder pointer null -- the configuration the no-op
-/// budget is measured against); any regression there is a hook leaking
-/// work onto the untraced path. The "on" number is the full record cost.
-void obs_overhead_report(runner::BenchReport& report) {
-  report.set("obs_hooks_compiled",
-             static_cast<std::uint64_t>(obs::kHooksCompiled ? 1 : 0));
-  stamp::SuiteParams params;
-  params.scale = 0.25;
-  const auto matrix = [&](bool enabled) {
-    std::vector<runner::RunPoint> points;
-    for (sim::Scheme s : {sim::Scheme::kLogTmSe, sim::Scheme::kFasTm,
-                          sim::Scheme::kSuv}) {
-      sim::SimConfig cfg;
-      cfg.scheme = s;
-      cfg.mem.num_cores = 16;
-      cfg.obs.trace = enabled;
-      cfg.obs.metrics = enabled;
-      for (stamp::AppId app : stamp::all_apps()) {
-        points.push_back(runner::RunPoint{app, cfg, params});
-      }
-    }
-    return points;
-  };
-  runner::ParallelExecutor serial(1);
-  const auto time_matrix = [&](bool enabled) {
-    const auto points = matrix(enabled);
-    runner::run_matrix(points, serial);  // warm
-    runner::WallTimer t;
-    const auto results = runner::run_matrix(points, serial);
-    const double s = t.seconds();
-    std::uint64_t events = 0;
-    for (const auto& r : results) events += r.sim_events;
-    return s > 0 ? static_cast<double>(events) / s : 0.0;
-  };
-  const double eps_off = time_matrix(false);
-  const double eps_on = obs::kHooksCompiled ? time_matrix(true) : eps_off;
-  const double overhead =
-      eps_on > 0 ? (eps_off / eps_on - 1.0) * 100.0 : 0.0;
-  std::printf("\nobservability overhead (scheme x app matrix, 16 cores, "
-              "scale 0.25):\n"
-              "  obs off      : %10.0f events/s\n"
-              "  trace+metrics: %10.0f events/s   (+%.1f%% run time)\n",
-              eps_off, eps_on, overhead);
-  report.set("events_per_sec_obs_off", eps_off);
-  report.set("events_per_sec_obs_on", eps_on);
-  report.set("obs_runtime_overhead_pct", overhead);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip our own flag before google-benchmark sees (and rejects) it.
-  double baseline_eps = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--baseline-events-per-sec") == 0 &&
-        i + 1 < argc) {
-      baseline_eps = std::atof(argv[i + 1]);
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      break;
-    }
-  }
-  // Strip the shared harness flags too (google-benchmark rejects unknown
-  // flags); the overhead sections configure obs/check explicitly, so only
-  // --jobs and --smoke have an effect here.
+  // Strip the shared harness flags (google-benchmark rejects unknown
+  // flags); the checker section configures check explicitly, so only
+  // --smoke has an effect here.
   const runner::Cli cli = runner::Cli::parse(argc, argv);
-  if (cli.smoke) {
-    // CI perf-smoke mode: the scheduler head-to-head, the PDES
-    // bit-identity check and the checker-overhead measurement (the rows
-    // the CI gates assert on), no google-benchmark suite, no end-to-end
-    // runs.
-    runner::BenchReport report("micro_structures");
-    scheduler_report(report, /*smoke=*/true);
-    pdes_report(report, /*smoke=*/true);
-    checker_overhead_report(report, /*rounds=*/3);
-    report.write();
-    return 0;
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   runner::BenchReport report("micro_structures");
-  scheduler_report(report, /*smoke=*/false);
-  container_report(report);
-  end_to_end_report(report, baseline_eps);
-  pdes_report(report, /*smoke=*/false);
-  checker_overhead_report(report, /*rounds=*/5);
-  obs_overhead_report(report);
+  if (!cli.smoke) {
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+  }
+  scheduler_report(report, cli.smoke);
+  checker_overhead_report(report, /*rounds=*/cli.smoke ? 3 : 5);
   report.write();
   return 0;
 }

@@ -18,6 +18,12 @@ struct DirEntry {
   CoreId owner = kNoCore;      // core holding M/E, or kNoCore
 };
 
+/// Largest machine the sharer mask can describe: core c sets bit c, so a
+/// core >= 32 would shift past the word. sim::Simulator rejects larger
+/// machines up front.
+inline constexpr std::uint32_t kMaxCores = 32;
+static_assert(sizeof(DirEntry::sharers) * 8 == kMaxCores);
+
 /// Flat open-addressing line -> entry map. References returned by entry()
 /// are invalidated by any later entry() that inserts (rehash) or by
 /// remove_core() (backshift erase); callers obtain their reference, use it,

@@ -67,6 +67,7 @@ void MemorySystem::l1_eviction(CoreId core, const Cache::Victim& v) {
   SUVTM_OBS_HOOK(obs_, on_cache_evict(/*l2=*/false, v.line));
   if (v.speculative) {
     ++stats_.spec_evictions;
+    SUVTM_OBS_HOOK(obs_, on_spec_eviction(core, v.line));
   }
   if (v.state == CohState::kModified) {
     ++stats_.writebacks;

@@ -67,6 +67,12 @@ RunResult harvest_result(sim::Simulator& sim, std::string app_name,
       r.has_dyntm = true;
       accumulate(r.dyntm, dyn->dyntm_stats());
       vmgr = &dyn->inner();
+      // The eager backend's loads, log appends, overflows and degenerations
+      // belong to the run too. DynTm counts every store itself, and the
+      // backend recounts those it is delegated, so keep DynTm's total.
+      htm::VmStats backend = vmgr->stats();
+      backend.tx_stores = 0;
+      accumulate(r.vm, backend);
     }
     if (auto* suvvm = dynamic_cast<vm::SuvVm*>(vmgr)) {
       r.has_suv = true;

@@ -49,7 +49,6 @@ struct MemParams {
 
   std::uint32_t l2_bytes = 8 * 1024 * 1024;  // 8 MB shared
   std::uint32_t l2_assoc = 8;
-  std::uint32_t l2_banks = 16;               // one bank per tile
   Cycle l2_latency = 15;
 
   Cycle directory_latency = 6;

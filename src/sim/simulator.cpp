@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "vm/dyntm.hpp"
 #include "vm/suv_vm.hpp"
@@ -50,6 +51,12 @@ void Simulator::build_domain(Domain& d) {
 }
 
 Simulator::Simulator(const SimConfig& cfg) : cfg_(cfg) {
+  if (cfg_.mem.num_cores > mem::kMaxCores) {
+    throw std::invalid_argument(
+        "mem.num_cores = " + std::to_string(cfg_.mem.num_cores) +
+        " exceeds " + std::to_string(mem::kMaxCores) +
+        " (the directory sharer mask has one bit per core)");
+  }
   const std::uint32_t shards = std::max<std::uint32_t>(1, cfg_.pdes.shards);
   if (cfg_.mem.num_cores % shards != 0) {
     throw std::invalid_argument(

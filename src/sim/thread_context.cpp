@@ -205,7 +205,6 @@ bool ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
   if (out.evicted_speculative && t.active()) {
     t.overflowed = true;
     vm.on_spec_eviction(t, out.evicted_line);
-    SUVTM_OBS_HOOK(obs_, on_spec_eviction(core_, out.evicted_line));
   }
 
   if (aw.is_store) {

@@ -195,6 +195,54 @@ TEST(TraceGoldenTest, ContendedCounterEmitsSpansAndAbortEdges) {
                    static_cast<double>(edges));
 }
 
+// ---- obs counters vs stats blocks -------------------------------------------
+
+// Several obs counters count the same event as a stats-block field. Every
+// pair must agree on every scheme and app, or one of the two hook sites
+// misses events the other sees.
+TEST(CounterCrossCheckTest, ObsCountersMatchStatsBlocks) {
+  if (!obs::kHooksCompiled) GTEST_SKIP() << "obs hooks compiled out";
+  stamp::SuiteParams params;
+  params.scale = 0.25;
+  std::vector<runner::RunPoint> points;
+  for (sim::Scheme s : sim::all_schemes()) {
+    sim::SimConfig cfg;
+    cfg.scheme = s;
+    cfg.obs.metrics = true;
+    for (stamp::AppId app : stamp::all_apps()) {
+      points.push_back(runner::RunPoint{app, cfg, params});
+    }
+  }
+  runner::ParallelExecutor pool(2);
+  const auto results = runner::run_matrix(points, pool);
+  for (const runner::RunResult& r : results) {
+    SCOPED_TRACE(std::string(sim::scheme_name(r.scheme)) + "/" + r.app);
+    const obs::MetricsSnapshot& m = r.metrics;
+    const auto obs_count = [&m](const char* name) {
+      return static_cast<std::uint64_t>(m.get(std::string("obs.") + name));
+    };
+    std::uint64_t by_cause = 0;
+    for (const auto& [name, v] : m.scalars) {
+      if (name.starts_with("obs.aborts.")) {
+        by_cause += static_cast<std::uint64_t>(v);
+      }
+    }
+    std::uint64_t histogrammed = 0;
+    for (const auto& h : m.histograms) {
+      if (h.name == "abort_cause") histogrammed = h.data.count;
+    }
+    EXPECT_EQ(by_cause, r.htm.aborts);
+    EXPECT_EQ(histogrammed, r.htm.aborts);
+    EXPECT_EQ(obs_count("aborts.deadlock_cycle"), r.conflicts.deadlock_aborts);
+    EXPECT_EQ(obs_count("mem.dir_forwards"), r.mem.forwards);
+    EXPECT_EQ(obs_count("suv.table_l1_overflows"),
+              r.table.l1_overflow_entries);
+    EXPECT_EQ(obs_count("suv.table_spills"), r.table.l2_evictions);
+    EXPECT_EQ(obs_count("fastm.degenerations"), r.vm.degenerations);
+    EXPECT_EQ(obs_count("mem.spec_evictions"), r.mem.spec_evictions);
+  }
+}
+
 // ---- chrome-trace export ----------------------------------------------------
 
 TEST(ChromeTraceTest, ExportShapeAndWriteRoundTrip) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "check/check.hpp"
 #include "obs/chrome_trace.hpp"
@@ -146,6 +147,29 @@ TEST(PdesGeometry, ShardsMustDivideCores) {
   sim::SimConfig cfg = sharded_cfg(sim::Scheme::kSuv, 1, 1);
   cfg.mem.num_cores = 6;
   EXPECT_THROW(sim::Simulator{cfg}, std::invalid_argument);
+}
+
+// The directory sharer mask has one bit per core, so a machine above 32
+// cores would shift past it; the constructor refuses it by name, sharded
+// or not. 32 cores in 2 shards (the benchmark's sharded machine) builds.
+TEST(PdesGeometry, RejectsMoreCoresThanTheSharerMask) {
+  const std::uint32_t geometries[][2] = {{33, 1}, {48, 1}, {48, 4}};
+  for (const auto& [cores, shards] : geometries) {
+    sim::SimConfig cfg = sharded_cfg(sim::Scheme::kSuv, 1, 1);
+    cfg.mem.num_cores = cores;
+    cfg.pdes.shards = shards;
+    try {
+      sim::Simulator sim(cfg);
+      ADD_FAILURE() << cores << " cores / " << shards << " shards built";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("mem.num_cores"), std::string::npos)
+          << e.what();
+    }
+  }
+  sim::SimConfig cfg = sharded_cfg(sim::Scheme::kSuv, 1, 1);
+  cfg.mem.num_cores = 32;
+  cfg.pdes.shards = 2;
+  EXPECT_NO_THROW(sim::Simulator{cfg});
 }
 
 }  // namespace
