@@ -17,11 +17,12 @@
 #include <string>
 #include <vector>
 
-#include "api/api.hpp"
 #include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
+#include "runner/experiment.hpp"
 #include "runner/parallel.hpp"
 #include "runner/tables.hpp"
+#include "sim/simulator.hpp"
 
 using namespace suvtm;
 
@@ -63,18 +64,23 @@ struct ScenarioResult {
 };
 
 ScenarioResult run_scenario(sim::Scheme scheme, const runner::Cli& cli) {
-  api::RunHandle h = api::SimBuilder().scheme(scheme).apply(cli).build();
-  sim::Simulator& sim = h.sim();
+  sim::SimConfig cfg;
+  cfg.scheme = scheme;
+  cli.apply(cfg);
+  sim::Simulator sim(cfg);
   Scenario s;
   s.region = 0x40000;
   s.lines = 96;  // heavy overlap between the 16 contenders
-  s.bar = &h.make_barrier(h.num_cores());
-  for (CoreId c = 0; c < h.num_cores(); ++c) {
-    h.spawn(c, contender(h.context(c), s, 24));
+  s.bar = &sim.make_barrier(sim.num_cores());
+  for (CoreId c = 0; c < sim.num_cores(); ++c) {
+    sim.spawn(c, contender(sim.context(c), s, 24));
   }
-  h.run();
-  const auto b = sim.total_breakdown();
-  const auto& ht = h.htm_stats();
+  sim.run();
+  ScenarioResult out;
+  const runner::RunResult r = runner::harvest_result(
+      sim, "pathology", cli.tracing() ? &out.trace : nullptr);
+  const sim::Breakdown& b = r.breakdown;
+  const htm::HtmStats& ht = r.htm;
   const double abort_window =
       ht.aborts ? static_cast<double>(b.get(sim::Bucket::kAborting)) /
                       static_cast<double>(ht.aborts)
@@ -88,15 +94,13 @@ ScenarioResult run_scenario(sim::Scheme scheme, const runner::Cli& cli) {
                 "%-10s makespan=%9llu aborts=%6llu  isolation window per "
                 "abort=%7.1f cy  per commit=%6.1f cy  stalled=%llu",
                 sim::scheme_name(scheme),
-                static_cast<unsigned long long>(h.makespan()),
+                static_cast<unsigned long long>(r.makespan),
                 static_cast<unsigned long long>(ht.aborts), abort_window,
                 commit_window,
                 static_cast<unsigned long long>(b.get(sim::Bucket::kStalled)));
-  ScenarioResult out;
   out.line = buf;
-  out.events = sim.scheduler().events_processed();
-  if (cli.tracing()) out.trace = h.trace();
-  if (cli.metrics) out.metrics = h.metrics();
+  out.events = r.sim_events;
+  if (cli.metrics) out.metrics = r.metrics;
   return out;
 }
 

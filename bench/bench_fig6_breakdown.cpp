@@ -14,7 +14,6 @@
 #include <map>
 #include <string>
 
-#include "api/api.hpp"
 #include "runner/cli.hpp"
 #include "runner/tables.hpp"
 
@@ -27,15 +26,17 @@ int main(int argc, char** argv) {
 
   runner::BenchReport report("fig6_breakdown");
 
-  // Fan the full scheme x app matrix across host cores in one batch, built
-  // through the api facade; metrics are on unconditionally so the report
-  // always carries the uniform namespace.
+  // Fan the full scheme x app matrix across host cores in one batch; metrics
+  // are on unconditionally so the report always carries the uniform
+  // namespace.
   const sim::Scheme schemes[] = {sim::Scheme::kLogTmSe, sim::Scheme::kFasTm,
                                  sim::Scheme::kSuv};
   std::vector<runner::RunPoint> points;
   std::vector<std::string> names;
   for (sim::Scheme s : schemes) {
-    const sim::SimConfig c = api::SimBuilder().scheme(s).metrics(true).config();
+    sim::SimConfig c;
+    c.scheme = s;
+    c.obs.metrics = true;
     for (stamp::AppId app : stamp::all_apps()) {
       points.push_back(runner::RunPoint{app, c, params});
       names.push_back(std::string(sim::scheme_cli_name(s)) + "/" +

@@ -29,7 +29,6 @@
 #include <cstring>
 #include <string>
 
-#include "api/api.hpp"
 #include "check/check.hpp"
 #include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
@@ -46,8 +45,10 @@ std::vector<runner::RunPoint> sweep_points(const runner::Cli& cli,
   std::vector<runner::RunPoint> points;
   for (sim::Scheme s : {sim::Scheme::kLogTmSe, sim::Scheme::kFasTm,
                         sim::Scheme::kSuv}) {
-    const sim::SimConfig cfg =
-        api::SimBuilder().scheme(s).cores(cores).apply(cli).config();
+    sim::SimConfig cfg;
+    cfg.scheme = s;
+    cfg.mem.num_cores = cores;
+    cli.apply(cfg);
     for (stamp::AppId app : stamp::all_apps()) {
       points.push_back(runner::RunPoint{app, cfg, params});
     }

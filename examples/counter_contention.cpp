@@ -7,11 +7,13 @@
 //       [--trace out.json]   (exports every cell's timeline in one file)
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "api/api.hpp"
 #include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
+#include "runner/experiment.hpp"
+#include "sim/simulator.hpp"
 #include "stamp/framework.hpp"
 
 using namespace suvtm;
@@ -42,32 +44,37 @@ struct Cell {
 
 Cell run(const runner::Cli& cli, sim::Scheme scheme, int counters, int iters,
          std::vector<std::pair<std::string, obs::TraceData>>* traces) {
-  api::RunHandle h = api::SimBuilder().scheme(scheme).apply(cli).build();
+  sim::SimConfig cfg;
+  cfg.scheme = scheme;
+  cli.apply(cfg);
+  sim::Simulator sim(cfg);
   const Addr base = 0x10000;
-  auto& bar = h.make_barrier(h.num_cores());
-  for (CoreId c = 0; c < h.num_cores(); ++c) {
-    h.spawn(c, worker(h.context(c), base, counters, bar, iters));
+  auto& bar = sim.make_barrier(sim.num_cores());
+  for (CoreId c = 0; c < sim.num_cores(); ++c) {
+    sim.spawn(c, worker(sim.context(c), base, counters, bar, iters));
   }
-  h.run();
+  sim.run();
   // Sanity: the sum of all counters must equal the total increments.
   std::uint64_t sum = 0;
   for (int i = 0; i < counters; ++i) {
-    sum += h.word(base + i * kLineBytes);
+    sum += sim.read_word_resolved(base + i * kLineBytes);
   }
   const std::uint64_t expect =
-      static_cast<std::uint64_t>(iters) * h.num_cores();
+      static_cast<std::uint64_t>(iters) * sim.num_cores();
   if (sum != expect) {
     std::fprintf(stderr, "ATOMICITY VIOLATION: %llu != %llu\n",
                  static_cast<unsigned long long>(sum),
                  static_cast<unsigned long long>(expect));
     std::exit(1);
   }
+  obs::TraceData trace;
+  const runner::RunResult r = runner::harvest_result(sim, "counters", &trace);
   if (traces) {
     traces->emplace_back(std::to_string(counters) + "ctr/" +
                              sim::scheme_name(scheme),
-                         h.trace());
+                         std::move(trace));
   }
-  return {h.makespan(), h.htm_stats().abort_ratio()};
+  return {r.makespan, r.htm.abort_ratio()};
 }
 
 }  // namespace

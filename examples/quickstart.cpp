@@ -1,4 +1,5 @@
-// Quickstart: write a tiny transactional workload against the public API,
+// Quickstart: write a tiny transactional workload against the simulator
+// (sim::SimConfig + sim::Simulator, harvested by runner::harvest_result),
 // run it on the simulated 16-core CMP under SUV version management, and
 // print what happened. With --trace the run exports a Chrome/Perfetto JSON
 // timeline; with --metrics it prints the uniform metrics namespace.
@@ -6,11 +7,12 @@
 //   $ ./build/examples/quickstart [scheme] [--trace out.json] [--metrics]
 //     scheme: logtm | fastm | suv | dyntm | dyntm-suv   (default: suv)
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
-#include "api/api.hpp"
+#include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
+#include "runner/experiment.hpp"
+#include "sim/simulator.hpp"
 #include "stamp/framework.hpp"
 
 using namespace suvtm;
@@ -47,40 +49,46 @@ sim::ThreadTask worker(sim::ThreadContext& tc, const Shared& s,
 int main(int argc, char** argv) {
   const runner::Cli cli = runner::Cli::parse(argc, argv);
 
-  api::SimBuilder builder;  // defaults reproduce the paper's Table III
-  builder.apply(cli);
-  try {
-    builder.scheme(cli.arg_or(0, "suv"));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "quickstart: %s\n", e.what());
+  sim::SimConfig cfg;  // defaults reproduce the paper's Table III
+  cli.apply(cfg);
+  const std::string arg = cli.arg_or(0, "suv");
+  if (!sim::scheme_from_string(arg, &cfg.scheme)) {
+    std::fprintf(stderr, "quickstart: unknown scheme \"%s\"; valid names:",
+                 arg.c_str());
+    for (const auto& row : sim::scheme_table()) {
+      std::fprintf(stderr, " %s", row.cli_name);
+    }
+    std::fprintf(stderr, "\n");
     return 1;
   }
-  const char* scheme = sim::scheme_name(builder.config().scheme);
+  const char* scheme = sim::scheme_name(cfg.scheme);
 
-  api::RunHandle h = builder.build();
+  sim::Simulator sim(cfg);
   Shared s;
   s.counters = 0x10000;
   s.hot = 0x10000 + 4 * kLineBytes;
 
   constexpr int kIters = 200;
-  auto& bar = h.make_barrier(h.num_cores());
-  for (CoreId c = 0; c < h.num_cores(); ++c) {
-    h.spawn(c, worker(h.context(c), s, bar, kIters));
+  auto& bar = sim.make_barrier(sim.num_cores());
+  for (CoreId c = 0; c < sim.num_cores(); ++c) {
+    sim.spawn(c, worker(sim.context(c), s, bar, kIters));
   }
-  h.run();
+  sim.run();
 
   const std::uint64_t expect =
-      static_cast<std::uint64_t>(kIters) * h.num_cores();
+      static_cast<std::uint64_t>(kIters) * sim.num_cores();
   std::uint64_t got = 0;
   for (int i = 0; i < 4; ++i) {
-    got += h.word(s.counters + i * kLineBytes);
+    got += sim.read_word_resolved(s.counters + i * kLineBytes);
   }
-  const std::uint64_t hot = h.word(s.hot);
+  const std::uint64_t hot = sim.read_word_resolved(s.hot);
 
-  const auto& hs = h.htm_stats();
+  obs::TraceData trace;
+  const runner::RunResult r = runner::harvest_result(sim, "quickstart", &trace);
+  const htm::HtmStats& hs = r.htm;
   std::printf("scheme          : %s\n", scheme);
   std::printf("makespan        : %llu cycles\n",
-              static_cast<unsigned long long>(h.makespan()));
+              static_cast<unsigned long long>(r.makespan));
   std::printf("commits/aborts  : %llu / %llu  (abort ratio %.1f%%)\n",
               static_cast<unsigned long long>(hs.commits),
               static_cast<unsigned long long>(hs.aborts),
@@ -93,14 +101,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(expect));
 
   if (cli.metrics) {
-    const runner::RunResult r = h.result("quickstart");
     std::printf("\nmetrics:\n");
     for (const auto& [name, v] : r.metrics.scalars) {
       std::printf("  %-40s %g\n", name.c_str(), v);
     }
   }
   if (cli.tracing()) {
-    if (h.write_trace(cli.trace_path, std::string("quickstart/") + scheme)) {
+    const std::string label = std::string("quickstart/") + scheme;
+    if (obs::write_chrome_trace(cli.trace_path, {{label, &trace}})) {
       std::printf("\ntrace written to %s (open in ui.perfetto.dev)\n",
                   cli.trace_path.c_str());
     } else {

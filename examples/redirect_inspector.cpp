@@ -7,7 +7,7 @@
 //   $ ./build/examples/redirect_inspector
 #include <cstdio>
 
-#include "api/api.hpp"
+#include "sim/simulator.hpp"
 #include "stamp/framework.hpp"
 #include "suv/redirect_entry.hpp"
 #include "vm/suv_vm.hpp"
@@ -70,16 +70,17 @@ sim::ThreadTask scenario(sim::ThreadContext& tc, sim::Simulator& sim,
 }  // namespace
 
 int main() {
-  api::RunHandle h = api::SimBuilder().scheme(sim::Scheme::kSuv).build();
-  sim::Simulator& sim = h.sim();
-  auto* vm = dynamic_cast<vm::SuvVm*>(&sim.htm().vm());
+  sim::SimConfig cfg;
+  cfg.scheme = sim::Scheme::kSuv;
+  sim::Simulator sim(cfg);
+  vm::SuvVm* vm = vm::suv_backend(sim.htm().vm());
   if (!vm) return 1;
 
-  h.poke_word(kVar, 7);
+  sim.poke_word(kVar, 7);
   std::printf("SUV redirect-entry lifecycle for one shared variable "
               "(paper Figure 4):\n\n");
-  h.spawn(0, scenario(sim.context(0), sim, *vm));
-  h.run();
+  sim.spawn(0, scenario(sim.context(0), sim, *vm));
+  sim.run();
 
   const auto& s = vm->suv_stats();
   std::printf("\nentry statistics: %llu created, %llu toggled, %llu "
@@ -90,6 +91,6 @@ int main() {
               static_cast<unsigned long long>(s.entries_deleted),
               static_cast<unsigned long long>(s.entries_discarded));
   std::printf("final value: %llu (expected 99: txn #3's 123 rolled back)\n",
-              static_cast<unsigned long long>(h.word(kVar)));
-  return h.word(kVar) == 99 ? 0 : 1;
+              static_cast<unsigned long long>(sim.read_word_resolved(kVar)));
+  return sim.read_word_resolved(kVar) == 99 ? 0 : 1;
 }

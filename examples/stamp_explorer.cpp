@@ -10,9 +10,9 @@
 #include <cstring>
 #include <string>
 
-#include "api/api.hpp"
 #include "obs/chrome_trace.hpp"
 #include "runner/cli.hpp"
+#include "runner/experiment.hpp"
 #include "runner/tables.hpp"
 
 using namespace suvtm;
@@ -57,10 +57,11 @@ int main(int argc, char** argv) {
     params.seed = std::strtoull(cli.args[2].c_str(), nullptr, 10);
   }
 
-  api::SimBuilder builder;
-  builder.scheme(scheme).apply(cli);
+  sim::SimConfig cfg;
+  cfg.scheme = scheme;
+  cli.apply(cfg);
   obs::TraceData trace;
-  const auto r = builder.run(app, params, &trace);
+  const auto r = runner::run_app(app, cfg, params, &trace);
 
   std::printf("app=%s scheme=%s scale=%.2f seed=%llu\n\n", r.app.c_str(),
               sim::scheme_name(r.scheme), params.scale,

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stats_block.hpp"
 #include "common/types.hpp"
 #include "htm/signature.hpp"
 #include "htm/txn.hpp"
@@ -23,24 +24,16 @@
 
 namespace suvtm::htm {
 
+#define SUVTM_CONFLICT_STATS(X)                                    \
+  X(conflicts)         /* NACKed requests (incl. retries) */        \
+  X(false_conflicts)   /* signature hit but exact-set miss */       \
+  X(deadlock_aborts)   /* victims chosen by cycle detection */      \
+  X(requester_wins)    /* holders doomed by kRequesterWins */       \
+  X(suspended_stalls)  /* NACKs from suspended-txn summaries */
+
 struct ConflictStats {
-  std::uint64_t conflicts = 0;        // NACKed requests (incl. retries)
-  std::uint64_t false_conflicts = 0;  // signature hit but exact-set miss
-  std::uint64_t deadlock_aborts = 0;  // victims chosen by cycle detection
-  std::uint64_t requester_wins = 0;   // holders doomed by kRequesterWins
-  std::uint64_t suspended_stalls = 0; // NACKs from suspended-txn summaries
-
-  bool operator==(const ConflictStats&) const = default;
+  SUVTM_STATS_BLOCK(ConflictStats, SUVTM_CONFLICT_STATS)
 };
-
-/// Sum `b` into `a` (harvesting a sharded machine's per-domain managers).
-inline void accumulate(ConflictStats& a, const ConflictStats& b) {
-  a.conflicts += b.conflicts;
-  a.false_conflicts += b.false_conflicts;
-  a.deadlock_aborts += b.deadlock_aborts;
-  a.requester_wins += b.requester_wins;
-  a.suspended_stalls += b.suspended_stalls;
-}
 
 class ConflictManager {
  public:

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/stats_block.hpp"
 #include "common/types.hpp"
 #include "htm/conflict_manager.hpp"
 #include "htm/txn.hpp"
@@ -18,16 +19,17 @@ class Checker;
 
 namespace suvtm::htm {
 
-struct HtmStats {
-  std::uint64_t begins = 0;     // outermost transaction attempts
-  std::uint64_t commits = 0;    // committed atomic blocks
-  std::uint64_t aborts = 0;     // aborted attempts
-  std::uint64_t nested_begins = 0;
-  /// Attempts (committed or aborted) whose speculative state overflowed the
-  /// L1 -- the paper Table V's "overflowed transactions" metric.
-  std::uint64_t overflowed_attempts = 0;
+// overflowed_attempts: attempts (committed or aborted) whose speculative
+// state overflowed the L1 -- the paper Table V's "overflowed transactions".
+#define SUVTM_HTM_STATS(X)                                     \
+  X(begins)              /* outermost transaction attempts */ \
+  X(commits)             /* committed atomic blocks */        \
+  X(aborts)              /* aborted attempts */               \
+  X(nested_begins)                                            \
+  X(overflowed_attempts)
 
-  bool operator==(const HtmStats&) const = default;
+struct HtmStats {
+  SUVTM_STATS_BLOCK(HtmStats, SUVTM_HTM_STATS)
 
   double abort_ratio() const {
     const double att = static_cast<double>(commits + aborts);
@@ -35,14 +37,7 @@ struct HtmStats {
   }
 };
 
-/// Sum `b` into `a` (harvesting a sharded machine's per-domain HTM systems).
-inline void accumulate(HtmStats& a, const HtmStats& b) {
-  a.begins += b.begins;
-  a.commits += b.commits;
-  a.aborts += b.aborts;
-  a.nested_begins += b.nested_begins;
-  a.overflowed_attempts += b.overflowed_attempts;
-}
+using suvtm::accumulate;
 
 class HtmSystem {
  public:

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "common/stats_block.hpp"
 #include "common/types.hpp"
 #include "htm/txn.hpp"
 #include "obs/obs.hpp"
@@ -42,26 +43,17 @@ struct StoreAction {
 };
 
 /// Counters common to every scheme; schemes also keep private stats.
+#define SUVTM_VM_STATS(X)                                          \
+  X(tx_stores)                                                      \
+  X(tx_loads)                                                       \
+  X(log_entries)     /* undo-log appends (LogTM-SE path) */         \
+  X(spec_overflows)  /* L1 speculative-state overflows */           \
+  X(degenerations)   /* FasTM fell back to LogTM-SE */              \
+  X(data_overflows)  /* transactional data left the L1 */
+
 struct VmStats {
-  std::uint64_t tx_stores = 0;
-  std::uint64_t tx_loads = 0;
-  std::uint64_t log_entries = 0;       // undo-log appends (LogTM-SE path)
-  std::uint64_t spec_overflows = 0;    // L1 speculative-state overflows
-  std::uint64_t degenerations = 0;     // FasTM fell back to LogTM-SE
-  std::uint64_t data_overflows = 0;    // transactional data left the L1
-
-  bool operator==(const VmStats&) const = default;
+  SUVTM_STATS_BLOCK(VmStats, SUVTM_VM_STATS)
 };
-
-/// Sum `b` into `a` (harvesting a sharded machine's per-domain schemes).
-inline void accumulate(VmStats& a, const VmStats& b) {
-  a.tx_stores += b.tx_stores;
-  a.tx_loads += b.tx_loads;
-  a.log_entries += b.log_entries;
-  a.spec_overflows += b.spec_overflows;
-  a.degenerations += b.degenerations;
-  a.data_overflows += b.data_overflows;
-}
 
 class VersionManager {
  public:

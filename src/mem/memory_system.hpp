@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stats_block.hpp"
 #include "common/types.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
@@ -34,32 +35,22 @@ struct AccessOutcome {
   LineAddr evicted_line = 0;
 };
 
-struct MemStats {
-  std::uint64_t l1_hits = 0;
-  std::uint64_t l1_misses = 0;
-  std::uint64_t l2_hits = 0;
-  std::uint64_t l2_misses = 0;
-  std::uint64_t writebacks = 0;
-  std::uint64_t invalidations = 0;
-  std::uint64_t forwards = 0;
-  std::uint64_t l2_recalls = 0;
-  std::uint64_t spec_evictions = 0;
+#define SUVTM_MEM_STATS(X) \
+  X(l1_hits)                 \
+  X(l1_misses)               \
+  X(l2_hits)                 \
+  X(l2_misses)               \
+  X(writebacks)              \
+  X(invalidations)           \
+  X(forwards)                \
+  X(l2_recalls)              \
+  X(spec_evictions)
 
-  bool operator==(const MemStats&) const = default;
+struct MemStats {
+  SUVTM_STATS_BLOCK(MemStats, SUVTM_MEM_STATS)
 };
 
-/// Sum `b` into `a` (harvesting a sharded machine's per-domain hierarchies).
-inline void accumulate(MemStats& a, const MemStats& b) {
-  a.l1_hits += b.l1_hits;
-  a.l1_misses += b.l1_misses;
-  a.l2_hits += b.l2_hits;
-  a.l2_misses += b.l2_misses;
-  a.writebacks += b.writebacks;
-  a.invalidations += b.invalidations;
-  a.forwards += b.forwards;
-  a.l2_recalls += b.l2_recalls;
-  a.spec_evictions += b.spec_evictions;
-}
+using suvtm::accumulate;
 
 class MemorySystem {
  public:

@@ -7,30 +7,17 @@ namespace suvtm::obs {
 
 const char* counter_name(Counter c) {
   switch (c) {
-    case Counter::kAbortsDeadlock: return "aborts.deadlock_cycle";
-    case Counter::kAbortsRequesterWins: return "aborts.requester_wins";
-    case Counter::kAbortsLazyInvalidated: return "aborts.lazy_invalidated";
-    case Counter::kAbortsLazyCommitDoom: return "aborts.lazy_commit_doom";
-    case Counter::kAbortsSuspendedConflict:
-      return "aborts.suspended_conflict";
-    case Counter::kAbortsNestingFallback: return "aborts.nesting_fallback";
-    case Counter::kAbortsExplicit: return "aborts.explicit";
     case Counter::kConflictEdges: return "conflict_edges";
     case Counter::kStallRetries: return "stall_retries";
     case Counter::kSuspends: return "suspends";
     case Counter::kResumes: return "resumes";
-    case Counter::kDirForwards: return "mem.dir_forwards";
     case Counter::kL1Evictions: return "mem.l1_evictions";
     case Counter::kL2Evictions: return "mem.l2_evictions";
     case Counter::kDirEntriesDropped: return "mem.dir_entries_dropped";
-    case Counter::kSpecEvictions: return "mem.spec_evictions";
-    case Counter::kDegenerations: return "fastm.degenerations";
     case Counter::kUndoWalks: return "logtm.undo_walks";
     case Counter::kSummaryAdds: return "suv.summary_adds";
     case Counter::kSummaryRemoves: return "suv.summary_removes";
     case Counter::kSummaryStaleRemoves: return "suv.summary_stale_removes";
-    case Counter::kTableSpills: return "suv.table_spills";
-    case Counter::kTableL1Overflows: return "suv.table_l1_overflows";
     case Counter::kPoolPages: return "suv.pool_pages";
     case Counter::kSuvFlashCommits: return "suv.flash_commits";
     case Counter::kSuvFlashAborts: return "suv.flash_aborts";

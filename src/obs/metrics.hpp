@@ -17,31 +17,21 @@
 
 namespace suvtm::obs {
 
+/// Events no stats block counts. An event a stats block already counts
+/// reaches the snapshot from that block (runner::harvest_result flattens
+/// every field), and abort causes live in Histogram::kAbortCause.
 enum class Counter : std::uint32_t {
-  // Abort causes; kept in htm::AbortCause order (kDeadlockCycle..kExplicit).
-  kAbortsDeadlock,
-  kAbortsRequesterWins,
-  kAbortsLazyInvalidated,
-  kAbortsLazyCommitDoom,
-  kAbortsSuspendedConflict,
-  kAbortsNestingFallback,
-  kAbortsExplicit,
   kConflictEdges,
   kStallRetries,
   kSuspends,
   kResumes,
-  kDirForwards,
   kL1Evictions,
   kL2Evictions,
   kDirEntriesDropped,
-  kSpecEvictions,
-  kDegenerations,
   kUndoWalks,
   kSummaryAdds,
   kSummaryRemoves,
   kSummaryStaleRemoves,
-  kTableSpills,
-  kTableL1Overflows,
   kPoolPages,
   kSuvFlashCommits,
   kSuvFlashAborts,

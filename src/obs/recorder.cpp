@@ -2,20 +2,6 @@
 
 namespace suvtm::obs {
 
-namespace {
-
-Counter counter_for_cause(htm::AbortCause cause) {
-  // Counter::kAbortsDeadlock.. mirror AbortCause::kDeadlockCycle.. in order.
-  const auto i = static_cast<std::uint32_t>(cause);
-  if (i == 0 || i >= static_cast<std::uint32_t>(htm::AbortCause::kCauseCount)) {
-    return Counter::kAbortsExplicit;
-  }
-  return static_cast<Counter>(
-      static_cast<std::uint32_t>(Counter::kAbortsDeadlock) + i - 1);
-}
-
-}  // namespace
-
 Recorder::Recorder(const sim::ObsParams& params, std::uint32_t num_cores)
     : trace_on_(params.trace), trace_mem_(params.trace_mem),
       sample_interval_(params.sample_interval_events == 0
@@ -82,7 +68,6 @@ void Recorder::on_abort_window(CoreId c, Cycle t, Cycle window,
   CoreSpans& s = cores_[c];
   if (s.stall_open) close_stall(c, t);
   s.pending_cause = cause;
-  metrics_.add(counter_for_cause(cause));
   metrics_.observe(Histogram::kAbortCause, static_cast<std::uint64_t>(cause));
   TraceEvent e;
   e.ts = t;
@@ -165,7 +150,6 @@ void Recorder::on_conflict_edge(CoreId aborter, CoreId victim, LineAddr line,
 }
 
 void Recorder::on_degeneration(CoreId c) {
-  metrics_.add(Counter::kDegenerations);
   TraceEvent e;
   e.ts = now_;
   e.kind = EventKind::kDegeneration;
@@ -184,17 +168,12 @@ void Recorder::on_suv_flash(CoreId /*c*/, bool commit,
 }
 
 void Recorder::on_table_spill(LineAddr line, CoreId owner) {
-  metrics_.add(Counter::kTableSpills);
   TraceEvent e;
   e.ts = now_;
   e.addr = line;
   e.kind = EventKind::kTableSpill;
   e.core = owner;
   emit(e);
-}
-
-void Recorder::on_table_l1_overflow() {
-  metrics_.add(Counter::kTableL1Overflows);
 }
 
 void Recorder::on_pool_page(CoreId owner) {
@@ -228,7 +207,6 @@ void Recorder::on_l1_miss(CoreId c, Cycle t, LineAddr line, Cycle latency,
 }
 
 void Recorder::on_dir_forward(CoreId requester, CoreId owner, LineAddr line) {
-  metrics_.add(Counter::kDirForwards);
   if (!trace_mem_) return;
   TraceEvent e;
   e.ts = now_;
@@ -246,7 +224,6 @@ void Recorder::on_cache_evict(bool l2, LineAddr /*victim*/) {
 void Recorder::on_dir_drop() { metrics_.add(Counter::kDirEntriesDropped); }
 
 void Recorder::on_spec_eviction(CoreId c, LineAddr line) {
-  metrics_.add(Counter::kSpecEvictions);
   TraceEvent e;
   e.ts = now_;
   e.addr = line;

@@ -85,7 +85,6 @@ class Recorder {
 
   // ---- suv structures -----------------------------------------------------
   void on_table_spill(LineAddr line, CoreId owner);
-  void on_table_l1_overflow();
   void on_pool_page(CoreId owner);
   void on_summary_add();
   void on_summary_remove(bool stale);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "htm/abort_cause.hpp"
+
 namespace suvtm::runner {
 
 void BenchReport::put(const std::string& key, std::string json_value) {
@@ -71,6 +73,17 @@ void BenchReport::set_metrics(const obs::MetricsSnapshot& m,
                             : static_cast<double>(h.data.sum) /
                                   static_cast<double>(h.data.count));
     set(base + ".max", h.data.max);
+    // Linear: bucket i counts htm::AbortCause i, so each cause that fired is
+    // readable by name.
+    if (h.name == obs::histogram_name(obs::Histogram::kAbortCause)) {
+      constexpr auto kCauses =
+          static_cast<std::size_t>(htm::AbortCause::kCauseCount);
+      for (std::size_t i = 1; i < kCauses; ++i) {
+        if (h.data.buckets[i] == 0) continue;
+        set(base + "." + htm::abort_cause_name(static_cast<htm::AbortCause>(i)),
+            h.data.buckets[i]);
+      }
+    }
   }
   for (const auto& s : m.series) {
     const std::string base = prefix + "series." + s.name;

@@ -14,15 +14,17 @@ double ratio(std::uint64_t num, std::uint64_t den) {
   return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
 }
 
-/// Fold the run's stats-block rates into the hook-fed registry snapshot, so
+/// Fold every field of every present stats block into the hook-fed registry
+/// snapshot as "<block>.<field>", plus the derived rates and gauges, so
 /// BENCH_*.json carries one uniform metrics namespace.
-void add_derived_metrics(RunResult& r) {
+void add_stats_metrics(RunResult& r) {
   obs::MetricsSnapshot& m = r.metrics;
-  m.set("htm.commits", static_cast<double>(r.htm.commits));
-  m.set("htm.aborts", static_cast<double>(r.htm.aborts));
+  for_each_block(r, [&m](const char* block, const auto& stats) {
+    visit_fields(stats, [&](const char* field, std::uint64_t v) {
+      m.set(std::string(block) + "." + field, static_cast<double>(v));
+    });
+  });
   m.set("htm.abort_ratio", r.htm.abort_ratio());
-  m.set("htm.overflowed_attempts",
-        static_cast<double>(r.htm.overflowed_attempts));
   m.set("conflict.sig_false_positive_rate",
         ratio(r.conflicts.false_conflicts, r.conflicts.conflicts));
   m.set("mem.l1_miss_rate", ratio(r.mem.l1_misses, r.mem.l1_hits + r.mem.l1_misses));
@@ -56,25 +58,23 @@ RunResult harvest_result(sim::Simulator& sim, std::string app_name,
   // monolithic machine; one per shard under conservative PDES). The domain
   // order is fixed, so sharded harvests are deterministic by construction.
   for (std::uint32_t d = 0; d < sim.num_domains(); ++d) {
+    htm::VersionManager& vmgr = sim.htm(d).vm();
     accumulate(r.htm, sim.htm(d).stats());
     accumulate(r.conflicts, sim.htm(d).conflicts().stats());
-    accumulate(r.vm, sim.htm(d).vm().stats());
+    accumulate(r.vm, vmgr.stats());
     accumulate(r.mem, sim.mem(d).stats());
 
-    // Scheme-specific stats: SUV directly, or via DynTM's backend.
-    htm::VersionManager* vmgr = &sim.htm(d).vm();
-    if (auto* dyn = dynamic_cast<vm::DynTm*>(vmgr)) {
+    if (auto* dyn = dynamic_cast<vm::DynTm*>(&vmgr)) {
       r.has_dyntm = true;
       accumulate(r.dyntm, dyn->dyntm_stats());
-      vmgr = &dyn->inner();
       // The eager backend's loads, log appends, overflows and degenerations
       // belong to the run too. DynTm counts every store itself, and the
       // backend recounts those it is delegated, so keep DynTm's total.
-      htm::VmStats backend = vmgr->stats();
+      htm::VmStats backend = dyn->inner().stats();
       backend.tx_stores = 0;
       accumulate(r.vm, backend);
     }
-    if (auto* suvvm = dynamic_cast<vm::SuvVm*>(vmgr)) {
+    if (vm::SuvVm* suvvm = vm::suv_backend(vmgr)) {
       r.has_suv = true;
       accumulate(r.table, suvvm->table().stats());
       accumulate(r.suv, suvvm->suv_stats());
@@ -88,7 +88,7 @@ RunResult harvest_result(sim::Simulator& sim, std::string app_name,
   if (obs::Recorder* rec = sim.recorder()) {
     if (cfg.obs.metrics) {
       r.metrics = sim.harvest_metrics();
-      add_derived_metrics(r);
+      add_stats_metrics(r);
     }
     if (trace_out != nullptr && rec->tracing()) {
       *trace_out = sim.take_trace();

@@ -47,14 +47,30 @@ struct RunResult {
   vm::DynTmStats dyntm;
 
   /// Harvested observability metrics (empty unless cfg.obs asked for
-  /// metrics): the hook-fed registry plus derived rates from the stats
-  /// blocks above, under one uniform namespace.
+  /// metrics): the hook-fed registry, every field of the stats blocks above
+  /// as "<block>.<field>" (see for_each_block) and derived rates, under one
+  /// uniform namespace.
   obs::MetricsSnapshot metrics;
 
   /// Field-for-field equality; the determinism tests rely on this covering
   /// every stats struct.
   bool operator==(const RunResult&) const = default;
 };
+
+/// Call f(block name, stats block) for every stats block the run has, in a
+/// fixed order; the names are the metrics-snapshot prefixes.
+template <class F>
+void for_each_block(const RunResult& r, F&& f) {
+  f("htm", r.htm);
+  f("conflict", r.conflicts);
+  f("vm", r.vm);
+  f("mem", r.mem);
+  if (r.has_suv) {
+    f("table", r.table);
+    f("suv", r.suv);
+  }
+  if (r.has_dyntm) f("dyntm", r.dyntm);
+}
 
 /// One point of an experiment cross-product.
 struct RunPoint {
@@ -65,9 +81,9 @@ struct RunPoint {
 
 /// Harvest every stats block -- and, when the run recorded metrics, the
 /// uniform MetricsSnapshot -- from a finished simulation. When `trace_out`
-/// is non-null and the run traced, the event trace is moved into it.
-/// Shared by run_app and api::RunHandle so hand-built simulations produce
-/// the exact RunResult the experiment harness would.
+/// is non-null and the run traced, the event trace is moved into it (merged
+/// across domains on a sharded machine). Hand-built simulations call it
+/// directly and get the exact RunResult the experiment harness would.
 RunResult harvest_result(sim::Simulator& sim, std::string app_name,
                          obs::TraceData* trace_out = nullptr);
 

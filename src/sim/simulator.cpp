@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "vm/dyntm.hpp"
 #include "vm/suv_vm.hpp"
 
 namespace suvtm::sim {
@@ -27,9 +26,7 @@ void Simulator::build_domain(Domain& d) {
     // scheduler events. Everything read here is this domain's own
     // deterministic state, so the series are reproducible across host job
     // and shard-thread counts.
-    htm::VersionManager* vmgr = &d.htm->vm();
-    if (auto* dyn = dynamic_cast<vm::DynTm*>(vmgr)) vmgr = &dyn->inner();
-    auto* suvvm = dynamic_cast<vm::SuvVm*>(vmgr);
+    vm::SuvVm* suvvm = vm::suv_backend(d.htm->vm());
     htm::HtmSystem* htm = d.htm.get();
     mem::MemorySystem* mem = d.mem.get();
     const std::uint32_t cores = cfg_.mem.num_cores;
@@ -179,12 +176,6 @@ std::uint64_t Simulator::events_processed() const {
 Breakdown Simulator::total_breakdown() const {
   Breakdown out;
   for (const auto& b : breakdowns_) out += b;
-  return out;
-}
-
-htm::HtmStats Simulator::total_htm_stats() const {
-  htm::HtmStats out;
-  for (const auto& d : domains_) htm::accumulate(out, d->htm->stats());
   return out;
 }
 

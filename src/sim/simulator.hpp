@@ -90,21 +90,12 @@ class Simulator {
   const Breakdown& breakdown(CoreId c) const { return breakdowns_[c]; }
   Breakdown total_breakdown() const;
 
-  /// HTM stats summed over domains (== domain 0's stats when shards == 1).
-  htm::HtmStats total_htm_stats() const;
-
   /// Host-side word read that follows any live version-management
   /// redirection (SUV global entries), routed to the domain owning `a`.
   /// Use this -- not the raw backing store -- for post-run verification.
   std::uint64_t read_word_resolved(Addr a) {
     Domain& d = *domains_[map_.shard_of_addr(a)];
     return d.mem->load_word(d.htm->vm().debug_resolve(kNoCore, a));
-  }
-
-  /// Raw backing-store read (no redirection), routed to the domain owning
-  /// `a` -- for seeding comparisons.
-  std::uint64_t raw_word(Addr a) const {
-    return domains_[map_.shard_of_addr(a)]->mem->load_word(a);
   }
 
   /// Host-side functional word write (workload build phase), routed to the

@@ -11,9 +11,7 @@ PreservedPool::PreservedPool(CoreId core)
 
 LineAddr PreservedPool::allocate() {
   ++in_use_;
-  ++stats_.lines_handed_out;
   if (!free_list_.empty()) {
-    ++stats_.lines_recycled;
     LineAddr l = free_list_.back();
     free_list_.pop_back();
     return l;
@@ -24,7 +22,6 @@ LineAddr PreservedPool::allocate() {
   // page pointer, so contiguity buys nothing while alignment would pile
   // every core's hot pool lines into the same few cache sets.
   if (next_index_ % kLinesPerPage == 0) {
-    ++stats_.pages_allocated;
     SUVTM_OBS_HOOK(obs_, on_pool_page(core_));
   }
   const std::uint64_t span = line_of(kPoolRegionPerCore);  // power of two

@@ -3,9 +3,9 @@
 //
 // Deviation from the paper, documented in DESIGN.md: the paper notes that
 // the original address of a globally redirected line becomes reclaimable for
-// later redirections. We count those reclaimable lines but do not hand them
-// out as redirect targets, because a later toggle-delete of the entry that
-// freed them would clobber the tenant. The pool instead grows monotonically
+// later redirections. We do not hand those lines out as redirect targets,
+// because a later toggle-delete of the entry that freed them would clobber
+// the tenant. The pool instead grows monotonically
 // and recycles only its own freed lines, which is safe and changes only the
 // pool-footprint statistic.
 #pragma once
@@ -24,13 +24,6 @@ namespace suvtm::suv {
 inline constexpr Addr kPoolRegionBase = kRedirectPoolBase;
 inline constexpr Addr kPoolRegionPerCore = 1ull << 34;  // 16 GiB per core
 
-struct PoolStats {
-  std::uint64_t pages_allocated = 0;
-  std::uint64_t lines_handed_out = 0;
-  std::uint64_t lines_recycled = 0;
-  std::uint64_t reclaimable_originals = 0;
-};
-
 class PreservedPool {
  public:
   explicit PreservedPool(CoreId core);
@@ -40,9 +33,6 @@ class PreservedPool {
 
   /// Return a pool line (its redirect entry was deleted or aborted).
   void release(LineAddr l);
-
-  /// Record that an original line became reclaimable (entry went global).
-  void note_reclaimable_original() { ++stats_.reclaimable_originals; }
 
   /// True if `l` lies inside any core's pool region.
   static bool in_pool_region(LineAddr l) {
@@ -58,7 +48,6 @@ class PreservedPool {
   }
 
   std::uint64_t lines_in_use() const { return in_use_; }
-  const PoolStats& stats() const { return stats_; }
 
   /// Observability wiring (forwarded from SuvVm::set_obs).
   void set_obs(obs::Recorder* r) { obs_ = r; }
@@ -69,7 +58,6 @@ class PreservedPool {
   std::uint64_t next_index_ = 0;
   std::vector<LineAddr> free_list_;
   std::uint64_t in_use_ = 0;
-  PoolStats stats_;
   obs::Recorder* obs_ = nullptr;
 };
 

@@ -152,7 +152,6 @@ Cycle RedirectTable::insert_transient(const RedirectEntry& e) {
   }
   // First-level overflow: the transient entry lives in the shared table.
   ++stats_.l1_overflow_entries;
-  SUVTM_OBS_HOOK(obs_, on_table_l1_overflow());
   l2_install(e.original);
   return params_.l2_table_latency;
 }
@@ -166,7 +165,6 @@ Cycle RedirectTable::pin_transient(CoreId owner, LineAddr original) {
     return params_.l1_table_latency;
   }
   ++stats_.l1_overflow_entries;
-  SUVTM_OBS_HOOK(obs_, on_table_l1_overflow());
   l2_install(original);
   return params_.l2_table_latency;
 }

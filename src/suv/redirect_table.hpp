@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/flat_hash.hpp"
+#include "common/stats_block.hpp"
 #include "common/types.hpp"
 #include "obs/obs.hpp"
 #include "sim/config.hpp"
@@ -28,19 +29,20 @@
 
 namespace suvtm::suv {
 
-struct TableStats {
-  std::uint64_t lookups = 0;            // accesses that consulted the summary
-  std::uint64_t summary_filtered = 0;   // summary said "not redirected"
-  std::uint64_t l1_hits = 0;
-  std::uint64_t l1_misses = 0;          // summary hit but L1 table miss
-  std::uint64_t l2_hits = 0;
-  std::uint64_t mem_hits = 0;           // entry only in the memory table
-  std::uint64_t misspeculations = 0;    // == mem_hits (squash + redo)
-  std::uint64_t false_filter_hits = 0;  // summary hit, no entry anywhere
-  std::uint64_t l1_overflow_entries = 0;  // transient entries spilled to L2
-  std::uint64_t l2_evictions = 0;         // entries swapped to memory
+#define SUVTM_TABLE_STATS(X)                                          \
+  X(lookups)              /* accesses that consulted the summary */    \
+  X(summary_filtered)     /* summary said "not redirected" */          \
+  X(l1_hits)                                                           \
+  X(l1_misses)            /* summary hit but L1 table miss */          \
+  X(l2_hits)                                                           \
+  X(mem_hits)             /* entry only in the memory table */         \
+  X(misspeculations)      /* == mem_hits (squash + redo) */            \
+  X(false_filter_hits)    /* summary hit, no entry anywhere */         \
+  X(l1_overflow_entries)  /* transient entries spilled to L2 */        \
+  X(l2_evictions)         /* entries swapped to memory */
 
-  bool operator==(const TableStats&) const = default;
+struct TableStats {
+  SUVTM_STATS_BLOCK(TableStats, SUVTM_TABLE_STATS)
 
   double l1_miss_rate() const {
     const double looked = static_cast<double>(l1_hits + l1_misses);
@@ -48,19 +50,7 @@ struct TableStats {
   }
 };
 
-/// Sum `b` into `a` (harvesting a sharded machine's per-domain tables).
-inline void accumulate(TableStats& a, const TableStats& b) {
-  a.lookups += b.lookups;
-  a.summary_filtered += b.summary_filtered;
-  a.l1_hits += b.l1_hits;
-  a.l1_misses += b.l1_misses;
-  a.l2_hits += b.l2_hits;
-  a.mem_hits += b.mem_hits;
-  a.misspeculations += b.misspeculations;
-  a.false_filter_hits += b.false_filter_hits;
-  a.l1_overflow_entries += b.l1_overflow_entries;
-  a.l2_evictions += b.l2_evictions;
-}
+using suvtm::accumulate;
 
 class RedirectTable {
  public:

@@ -15,6 +15,7 @@
 #include <memory>
 
 #include "common/flat_hash.hpp"
+#include "common/stats_block.hpp"
 #include "htm/version_manager.hpp"
 #include "mem/memory_system.hpp"
 #include "sim/config.hpp"
@@ -64,22 +65,15 @@ class ModeSelector {
   FlatMap<std::uint32_t, std::uint8_t> counters_;
 };
 
+#define SUVTM_DYNTM_STATS(X)                                     \
+  X(eager_txns)                                                   \
+  X(lazy_txns)                                                    \
+  X(lazy_commit_dooms)  /* victims of committer-wins */           \
+  X(redo_overflows)     /* lazy write buffer exceeded the L1 */
+
 struct DynTmStats {
-  std::uint64_t eager_txns = 0;
-  std::uint64_t lazy_txns = 0;
-  std::uint64_t lazy_commit_dooms = 0;  // victims of committer-wins
-  std::uint64_t redo_overflows = 0;     // lazy write buffer exceeded the L1
-
-  bool operator==(const DynTmStats&) const = default;
+  SUVTM_STATS_BLOCK(DynTmStats, SUVTM_DYNTM_STATS)
 };
-
-/// Sum `b` into `a` (harvesting a sharded machine's per-domain selectors).
-inline void accumulate(DynTmStats& a, const DynTmStats& b) {
-  a.eager_txns += b.eager_txns;
-  a.lazy_txns += b.lazy_txns;
-  a.lazy_commit_dooms += b.lazy_commit_dooms;
-  a.redo_overflows += b.redo_overflows;
-}
 
 class DynTm final : public htm::VersionManager {
  public:

@@ -79,3 +79,12 @@ std::unique_ptr<htm::VersionManager> make_version_manager(
 }
 
 }  // namespace suvtm::sim
+
+namespace suvtm::vm {
+
+SuvVm* suv_backend(htm::VersionManager& vm) {
+  if (auto* dyn = dynamic_cast<DynTm*>(&vm)) return suv_backend(dyn->inner());
+  return dynamic_cast<SuvVm*>(&vm);
+}
+
+}  // namespace suvtm::vm

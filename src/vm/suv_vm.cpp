@@ -123,10 +123,10 @@ void SuvVm::on_commit_done(htm::Txn& txn) {
       ++sstats_.entries_deleted;
       pools_[suv::PreservedPool::owner_of(out.target)]->release(out.target);
     } else {
-      ++sstats_.entries_published;
       // The original line's storage is now dead (all accesses go to the
-      // target); the paper reclaims it for later redirections.
-      pools_[txn.core]->note_reclaimable_original();
+      // target); the paper reclaims it for later redirections, this model
+      // does not (suv/pool.hpp).
+      ++sstats_.entries_published;
     }
   }
   owned_[txn.core].clear();

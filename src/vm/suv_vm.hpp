@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/stats_block.hpp"
 #include "htm/version_manager.hpp"
 #include "mem/memory_system.hpp"
 #include "sim/config.hpp"
@@ -20,28 +21,20 @@
 
 namespace suvtm::vm {
 
-struct SuvVmStats {
-  std::uint64_t entries_created = 0;     // fresh transient redirects
-  std::uint64_t entries_toggled = 0;     // redirect-back on a global entry
-  std::uint64_t entries_published = 0;   // transient -> global at commit
-  std::uint64_t entries_deleted = 0;     // toggle-commit deletions
-  std::uint64_t entries_discarded = 0;   // transient removed at abort
-  std::uint64_t entries_reverted = 0;    // toggle rolled back to global
-  std::uint64_t table_overflow_txns = 0; // txns whose entries spilled the L1 table
+#define SUVTM_SUV_VM_STATS(X)                                            \
+  X(entries_created)      /* fresh transient redirects */                 \
+  X(entries_toggled)      /* redirect-back on a global entry */           \
+  X(entries_published)    /* transient -> global at commit */             \
+  X(entries_deleted)      /* toggle-commit deletions */                   \
+  X(entries_discarded)    /* transient removed at abort */                \
+  X(entries_reverted)     /* toggle rolled back to global */              \
+  X(table_overflow_txns)  /* txns whose entries spilled the L1 table */
 
-  bool operator==(const SuvVmStats&) const = default;
+struct SuvVmStats {
+  SUVTM_STATS_BLOCK(SuvVmStats, SUVTM_SUV_VM_STATS)
 };
 
-/// Sum `b` into `a` (harvesting a sharded machine's per-domain SUV state).
-inline void accumulate(SuvVmStats& a, const SuvVmStats& b) {
-  a.entries_created += b.entries_created;
-  a.entries_toggled += b.entries_toggled;
-  a.entries_published += b.entries_published;
-  a.entries_deleted += b.entries_deleted;
-  a.entries_discarded += b.entries_discarded;
-  a.entries_reverted += b.entries_reverted;
-  a.table_overflow_txns += b.table_overflow_txns;
-}
+using suvtm::accumulate;
 
 class SuvVm final : public htm::VersionManager {
  public:
@@ -106,5 +99,9 @@ class SuvVm final : public htm::VersionManager {
   std::vector<std::vector<std::vector<LineAddr>>> suspended_owned_;
   SuvVmStats sstats_;
 };
+
+/// The SuvVm behind `vm`: the scheme itself, or DynTM's eager backend when
+/// DynTM runs over SUV; nullptr for schemes without SUV machinery.
+SuvVm* suv_backend(htm::VersionManager& vm);
 
 }  // namespace suvtm::vm

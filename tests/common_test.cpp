@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
-#include "common/stats.hpp"
+#include "common/stats_block.hpp"
 #include "common/types.hpp"
 
 namespace suvtm {
@@ -93,69 +97,32 @@ TEST(RngTest, ReseedResets) {
   EXPECT_EQ(r.next(), first);
 }
 
-TEST(AccumulatorTest, Empty) {
-  Accumulator a;
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.mean(), 0.0);
-  EXPECT_EQ(a.min(), 0.0);
-  EXPECT_EQ(a.max(), 0.0);
+#define TEST_STATS(X) X(hits) X(misses) X(evictions)
+struct TestStats {
+  SUVTM_STATS_BLOCK(TestStats, TEST_STATS)
+};
+
+TEST(StatsBlockTest, LayoutIsTheFieldList) {
+  static_assert(sizeof(TestStats) == 3 * sizeof(std::uint64_t));
+  static_assert(std::has_unique_object_representations_v<TestStats>);
+  TestStats s;
+  EXPECT_EQ(s.hits + s.misses + s.evictions, 0u);
 }
 
-TEST(AccumulatorTest, Basic) {
-  Accumulator a;
-  a.add(1.0);
-  a.add(3.0);
-  a.add(2.0);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.sum(), 6.0);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 3.0);
+TEST(StatsBlockTest, AccumulateSumsEveryField) {
+  TestStats a{1, 2, 3};
+  accumulate(a, TestStats{10, 20, 30});
+  EXPECT_EQ(a, (TestStats{11, 22, 33}));
 }
 
-TEST(AccumulatorTest, Reset) {
-  Accumulator a;
-  a.add(5.0);
-  a.reset();
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.sum(), 0.0);
-}
-
-TEST(HistogramTest, Bucketing) {
-  Histogram h(10.0, 5);
-  h.add(0.0);
-  h.add(9.9);
-  h.add(10.0);
-  h.add(49.0);
-  h.add(1000.0);  // overflow -> last bucket
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(HistogramTest, NegativeClampsToFirstBucket) {
-  Histogram h(1.0, 4);
-  h.add(-3.0);
-  EXPECT_EQ(h.bucket(0), 1u);
-}
-
-TEST(HistogramTest, Quantile) {
-  Histogram h(1.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10));
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 10.0, 1.0);
-}
-
-TEST(StatsTest, SafeRatio) {
-  EXPECT_EQ(safe_ratio(1.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(safe_ratio(1.0, 2.0), 0.5);
-}
-
-TEST(StatsTest, Percent) {
-  EXPECT_EQ(percent(0.123), "12.3%");
-  EXPECT_EQ(percent(0.0), "0.0%");
-  EXPECT_EQ(percent(1.0), "100.0%");
+TEST(StatsBlockTest, VisitWalksFieldsInOrder) {
+  std::vector<std::pair<std::string, std::uint64_t>> seen;
+  visit_fields(TestStats{4, 5, 6}, [&](const char* name, std::uint64_t v) {
+    seen.emplace_back(name, v);
+  });
+  const std::vector<std::pair<std::string, std::uint64_t>> want = {
+      {"hits", 4}, {"misses", 5}, {"evictions", 6}};
+  EXPECT_EQ(seen, want);
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
-// Tests for the observability layer (src/obs) and the suvtm::api facade:
-// metrics snapshot/merge semantics, the trace cap, byte-identical trace
-// export across host job counts, a golden abort-edge check on a forced
-// two-core conflict, scheme-string round-trips and the shared Cli parser.
+// Tests for the observability layer (src/obs): metrics snapshot/merge
+// semantics, the trace cap, byte-identical trace export across host job
+// counts, a golden abort-edge check on a forced two-core conflict, the
+// stats-block flattening cross-check, scheme-string round-trips and the
+// shared Cli parser.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <stdexcept>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "api/api.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -147,28 +147,29 @@ TEST(TraceGoldenTest, ContendedCounterEmitsSpansAndAbortEdges) {
   if (!obs::kHooksCompiled) GTEST_SKIP() << "obs hooks compiled out";
   constexpr Addr kCounter = 0x9000;
   constexpr int kIters = 40;
-  api::RunHandle h = api::SimBuilder()
-                         .scheme(sim::Scheme::kSuv)
-                         .cores(4)
-                         .trace(true)
-                         .metrics(true)
-                         .build();
-  sim::Barrier& bar = h.make_barrier(h.num_cores());
-  for (CoreId c = 0; c < h.num_cores(); ++c) {
-    h.spawn(c, counter_hammer(h.context(c), bar, kCounter, kIters));
+  sim::SimConfig cfg;
+  cfg.scheme = sim::Scheme::kSuv;
+  cfg.mem.num_cores = 4;
+  cfg.obs.trace = true;
+  cfg.obs.metrics = true;
+  sim::Simulator sim(cfg);
+  sim::Barrier& bar = sim.make_barrier(sim.num_cores());
+  for (CoreId c = 0; c < sim.num_cores(); ++c) {
+    sim.spawn(c, counter_hammer(sim.context(c), bar, kCounter, kIters));
   }
-  h.run();
-  EXPECT_EQ(h.word(kCounter),
-            static_cast<std::uint64_t>(h.num_cores()) * kIters);
+  sim.run();
+  EXPECT_EQ(sim.read_word_resolved(kCounter),
+            static_cast<std::uint64_t>(sim.num_cores()) * kIters);
 
-  const htm::HtmStats& stats = h.htm_stats();
+  obs::TraceData t;
+  const runner::RunResult r = runner::harvest_result(sim, "counter", &t);
+  const htm::HtmStats& stats = r.htm;
   ASSERT_GT(stats.aborts, 0u) << "scenario must force conflicts";
 
-  const obs::TraceData& t = h.trace();
   ASSERT_FALSE(t.events.empty());
   std::uint64_t spans = 0, edges = 0, abort_spans = 0;
   for (const obs::TraceEvent& e : t.events) {
-    EXPECT_LE(e.ts + e.dur, h.makespan());
+    EXPECT_LE(e.ts + e.dur, r.makespan);
     switch (e.kind) {
       case obs::EventKind::kTxnSpan:
         ++spans;
@@ -190,17 +191,18 @@ TEST(TraceGoldenTest, ContendedCounterEmitsSpansAndAbortEdges) {
   EXPECT_EQ(abort_spans, stats.aborts);
   EXPECT_GT(edges, 0u);
 
-  const obs::MetricsSnapshot m = h.metrics();
-  EXPECT_DOUBLE_EQ(m.get("obs.conflict_edges", -1.0),
+  EXPECT_DOUBLE_EQ(r.metrics.get("obs.conflict_edges", -1.0),
                    static_cast<double>(edges));
 }
 
-// ---- obs counters vs stats blocks -------------------------------------------
+// ---- stats blocks vs the metrics snapshot ----------------------------------
 
-// Several obs counters count the same event as a stats-block field. Every
-// pair must agree on every scheme and app, or one of the two hook sites
-// misses events the other sees.
-TEST(CounterCrossCheckTest, ObsCountersMatchStatsBlocks) {
+// Every counted fact lives in one place. The stats blocks reach the snapshot
+// only through harvest_result's flattening, so each "<block>.<field>" scalar
+// must equal its RunResult field; abort causes live only in the abort_cause
+// histogram, so its total must equal htm.aborts; and no obs counter may
+// re-count a stats field (equal on every run where either fires).
+TEST(CounterCrossCheckTest, SnapshotCountsEachFactOnce) {
   if (!obs::kHooksCompiled) GTEST_SKIP() << "obs hooks compiled out";
   stamp::SuiteParams params;
   params.scale = 0.25;
@@ -215,31 +217,38 @@ TEST(CounterCrossCheckTest, ObsCountersMatchStatsBlocks) {
   }
   runner::ParallelExecutor pool(2);
   const auto results = runner::run_matrix(points, pool);
-  for (const runner::RunResult& r : results) {
+
+  // counter name -> per-run values, and "<block>.<field>" -> per-run values
+  // (0 where the block is absent), to look for duplicates across all runs.
+  std::map<std::string, std::vector<std::uint64_t>> counters, fields;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const runner::RunResult& r = results[i];
     SCOPED_TRACE(std::string(sim::scheme_name(r.scheme)) + "/" + r.app);
     const obs::MetricsSnapshot& m = r.metrics;
-    const auto obs_count = [&m](const char* name) {
-      return static_cast<std::uint64_t>(m.get(std::string("obs.") + name));
-    };
+    runner::for_each_block(r, [&](const char* block, const auto& stats) {
+      visit_fields(stats, [&](const char* field, std::uint64_t v) {
+        const std::string key = std::string(block) + "." + field;
+        EXPECT_EQ(m.get(key, -1.0), static_cast<double>(v)) << key;
+        fields[key].resize(results.size());
+        fields[key][i] = v;
+      });
+    });
     std::uint64_t by_cause = 0;
-    for (const auto& [name, v] : m.scalars) {
-      if (name.starts_with("obs.aborts.")) {
-        by_cause += static_cast<std::uint64_t>(v);
-      }
-    }
-    std::uint64_t histogrammed = 0;
     for (const auto& h : m.histograms) {
-      if (h.name == "abort_cause") histogrammed = h.data.count;
+      if (h.name == "abort_cause") by_cause = h.data.count;
     }
     EXPECT_EQ(by_cause, r.htm.aborts);
-    EXPECT_EQ(histogrammed, r.htm.aborts);
-    EXPECT_EQ(obs_count("aborts.deadlock_cycle"), r.conflicts.deadlock_aborts);
-    EXPECT_EQ(obs_count("mem.dir_forwards"), r.mem.forwards);
-    EXPECT_EQ(obs_count("suv.table_l1_overflows"),
-              r.table.l1_overflow_entries);
-    EXPECT_EQ(obs_count("suv.table_spills"), r.table.l2_evictions);
-    EXPECT_EQ(obs_count("fastm.degenerations"), r.vm.degenerations);
-    EXPECT_EQ(obs_count("mem.spec_evictions"), r.mem.spec_evictions);
+    for (const auto& [name, v] : m.scalars) {
+      if (!name.starts_with("obs.")) continue;
+      counters[name].resize(results.size());
+      counters[name][i] = static_cast<std::uint64_t>(v);
+    }
+  }
+  ASSERT_FALSE(counters.empty());
+  for (const auto& [counter, cv] : counters) {
+    for (const auto& [field, fv] : fields) {
+      EXPECT_NE(cv, fv) << counter << " re-counts " << field;
+    }
   }
 }
 
@@ -266,40 +275,34 @@ TEST(ChromeTraceTest, ExportShapeAndWriteRoundTrip) {
   std::remove(path.c_str());
 }
 
-// ---- api facade -------------------------------------------------------------
+// ---- scheme names -----------------------------------------------------------
 
-TEST(ApiFacadeTest, SchemeStringRoundTrip) {
+TEST(SchemeTableTest, SchemeStringRoundTrip) {
   for (const auto& row : sim::scheme_table()) {
-    EXPECT_EQ(api::SimBuilder().scheme(row.cli_name).config().scheme,
-              row.scheme);
-    EXPECT_EQ(api::SimBuilder().scheme(row.name).config().scheme, row.scheme);
     sim::Scheme parsed{};
     EXPECT_TRUE(sim::scheme_from_string(row.cli_name, &parsed));
     EXPECT_EQ(parsed, row.scheme);
+    parsed = {};
+    EXPECT_TRUE(sim::scheme_from_string(row.name, &parsed));
+    EXPECT_EQ(parsed, row.scheme);
   }
-  EXPECT_THROW(api::SimBuilder().scheme("not-a-scheme"),
-               std::invalid_argument);
+  sim::Scheme untouched = sim::Scheme::kFasTm;
+  EXPECT_FALSE(sim::scheme_from_string("not-a-scheme", &untouched));
+  EXPECT_EQ(untouched, sim::Scheme::kFasTm);
 }
 
-TEST(ApiFacadeTest, UntracedHandleExportsNothing) {
-  api::RunHandle h = api::SimBuilder().scheme(sim::Scheme::kLogTmSe).build();
-  h.poke_word(0x100, 42);
-  EXPECT_EQ(h.word(0x100), 42u);
-  EXPECT_TRUE(h.trace().events.empty());
-  EXPECT_FALSE(h.write_trace(::testing::TempDir() + "never_written.json"));
-}
-
-TEST(ApiFacadeTest, ResultMatchesHarness) {
-  if (!obs::kHooksCompiled) GTEST_SKIP() << "obs hooks compiled out";
-  stamp::SuiteParams params;
-  params.scale = 0.1;
-  const api::SimBuilder b =
-      api::SimBuilder().scheme(sim::Scheme::kSuv).metrics(true);
-  const runner::RunResult via_api = b.run(stamp::AppId::kKmeans, params);
-  const runner::RunResult via_harness =
-      runner::run_app(stamp::AppId::kKmeans, b.config(), params);
-  EXPECT_EQ(via_api, via_harness);
-  EXPECT_FALSE(via_api.metrics.empty());
+TEST(HarvestTest, UntracedRunHarvestsNoTrace) {
+  sim::SimConfig cfg;
+  cfg.scheme = sim::Scheme::kLogTmSe;
+  cfg.obs.trace = false;
+  cfg.obs.metrics = false;
+  sim::Simulator sim(cfg);
+  sim.poke_word(0x100, 42);
+  EXPECT_EQ(sim.read_word_resolved(0x100), 42u);
+  obs::TraceData t;
+  const runner::RunResult r = runner::harvest_result(sim, "idle", &t);
+  EXPECT_TRUE(t.events.empty());
+  EXPECT_TRUE(r.metrics.empty());
 }
 
 // ---- shared Cli -------------------------------------------------------------
