@@ -10,6 +10,7 @@
 // prints the new row) and is explained in CHANGES.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -131,6 +132,26 @@ constexpr Golden kStamp[] = {
     {"dyntm-suv", "yada", 0x1508be1db4774205ull},
 };
 
+// The benchmark's contended inputs at full scale (scale 1.0, input seed
+// 42): stalls are about half of all simulated cycles here, so these rows
+// pin the NACK-retry path far harder than the scale-0.1 table above.
+constexpr Golden kContended[] = {
+    {"logtm", "bayes", 0xf9021a7ecd3684f4ull},
+    {"logtm", "intruder", 0x5a4b47c330e25e98ull},
+    {"logtm", "labyrinth", 0x1b05c325ede69f58ull},
+    {"logtm", "yada", 0xd4cbd4fa61cdd17full},
+    {"suv", "bayes", 0xfac3f36f10c7f7c1ull},
+    {"suv", "intruder", 0x6dbdff64abba79a6ull},
+    {"suv", "labyrinth", 0xd2584991a4fb05dbull},
+    {"suv", "yada", 0x4a3a69cde42f4875ull},
+};
+
+// Configurations whose stall retries stay one scheduler event per poll:
+// SUV-TM bayes under the requester-wins policy and DynTM-SUV intruder, both
+// at scale 1.0.
+constexpr std::uint64_t kSuvBayesRequesterWins = 0xe9a6da75ad09ea8bull;
+constexpr std::uint64_t kDynTmSuvIntruder = 0xe7b4d21da3b6b503ull;
+
 // sharded_kv on a 32-core, 2-shard SUV machine.
 constexpr std::uint64_t kShardedKv = 0xe132898a3740ea69ull;
 
@@ -162,6 +183,42 @@ TEST(GoldenFingerprintTest, StampSuiteMatchesReference) {
     EXPECT_EQ(r.app, kStamp[i].app);
     EXPECT_EQ(h, kStamp[i].hash) << "now: " << row(r, h);
   }
+}
+
+TEST(GoldenFingerprintTest, ContendedInputsMatchReference) {
+  stamp::SuiteParams params;  // scale 1.0, input seed 42
+  std::vector<runner::RunPoint> points;
+  for (const Golden& g : kContended) {
+    sim::Scheme s{};
+    ASSERT_TRUE(sim::scheme_from_string(g.scheme, &s));
+    const auto& apps = stamp::all_apps();
+    const auto app = std::find_if(apps.begin(), apps.end(), [&](auto a) {
+      return std::string(stamp::app_name(a)) == g.app;
+    });
+    ASSERT_NE(app, apps.end()) << g.app;
+    points.push_back(runner::RunPoint{*app, quiet_config(s), params});
+  }
+  sim::SimConfig wins = quiet_config(sim::Scheme::kSuv);
+  wins.htm.conflict_policy = sim::ConflictPolicy::kRequesterWins;
+  points.push_back(runner::RunPoint{stamp::AppId::kBayes, wins, params});
+  points.push_back(runner::RunPoint{
+      stamp::AppId::kIntruder, quiet_config(sim::Scheme::kDynTmSuv), params});
+
+  runner::ParallelExecutor pool(2);
+  const std::vector<runner::RunResult> results =
+      runner::run_matrix(points, pool);
+  ASSERT_EQ(results.size(), std::size(kContended) + 2);
+  for (std::size_t i = 0; i < std::size(kContended); ++i) {
+    const std::uint64_t h = fingerprint(results[i]);
+    EXPECT_EQ(results[i].app, kContended[i].app);
+    EXPECT_EQ(h, kContended[i].hash) << "now: " << row(results[i], h);
+  }
+  const std::uint64_t wins_h = fingerprint(results[std::size(kContended)]);
+  EXPECT_EQ(wins_h, kSuvBayesRequesterWins)
+      << "now (requester-wins): " << row(results[std::size(kContended)], wins_h);
+  const runner::RunResult& dyn = results[std::size(kContended) + 1];
+  const std::uint64_t dyn_h = fingerprint(dyn);
+  EXPECT_EQ(dyn_h, kDynTmSuvIntruder) << "now: " << row(dyn, dyn_h);
 }
 
 TEST(GoldenFingerprintTest, ShardedKvMatchesReference) {
