@@ -1,9 +1,11 @@
 #include "htm/conflict_manager.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
 #include "obs/recorder.hpp"
+#include "sim/scheduler.hpp"
 
 namespace suvtm::htm {
 
@@ -18,7 +20,9 @@ ConflictManager::ConflictManager(std::uint32_t num_cores,
       read_cols_(sig_bits, 0),
       write_cols_(sig_bits, 0),
       touched_(num_cores),
-      needs_full_clear_(num_cores, 0) {
+      needs_full_clear_(num_cores, 0),
+      watches_(num_cores),
+      watched_bits_((sig_bits + 63) / 64, 0) {
   assert(num_cores <= 64 && "isolation/column masks are 64-bit words");
   assert(std::has_single_bit(sig_bits) && "signature bits must be a power of 2");
 }
@@ -63,6 +67,8 @@ void ConflictManager::resync(CoreId core, const Txn& t) {
   install(write_cols_, t.write_sig);
   // The journal never saw these bits: the next release must sweep.
   needs_full_clear_[core] = 1;
+  // Whole signatures changed at once, outside the note triggers.
+  wake_all();
 }
 
 bool ConflictManager::reaches(CoreId start, CoreId target) const {
@@ -122,6 +128,7 @@ ConflictManager::Decision ConflictManager::check_slow(
     holder = c;
     exact = t->write_lines.count(line) != 0 ||
             (check_read_sig && t->read_lines.count(line) != 0);
+    d.exact = exact;
     break;
   }
   if (holder == kNoCore) {
@@ -217,5 +224,73 @@ ConflictManager::Decision ConflictManager::check_slow(
 }
 
 void ConflictManager::clear_wait(CoreId core) { waits_for_[core] = kNoCore; }
+
+bool ConflictManager::watch(CoreId core, LineAddr line, bool is_write,
+                            CoreId holder, sim::ParkedPoll& poll) {
+  if (policy_ != sim::ConflictPolicy::kRequesterStalls || holder == kNoCore ||
+      suspended_reads_ != nullptr || suspended_writes_ != nullptr) {
+    return false;
+  }
+  watches_[core] = Watch{line, Signature::mix(line), holder, is_write, &poll};
+  watched_ |= 1ull << core;
+  add_watched(core);
+  return true;
+}
+
+void ConflictManager::add_watched(CoreId core) {
+  const Watch& w = watches_[core];
+  watch_cover_ |= (2ull << w.holder) - 1;  // the holder and every core below
+  std::uint32_t b = static_cast<std::uint32_t>(w.lm);
+  const std::uint32_t step = static_cast<std::uint32_t>(w.lm >> 32) | 1u;
+  for (std::uint32_t i = 0; i < col_k_; ++i, b += step) {
+    const std::uint32_t idx = b & (col_bits_ - 1);
+    watched_bits_[idx >> 6] |= 1ull << (idx & 63u);
+  }
+}
+
+void ConflictManager::wake(CoreId core) {
+  watched_ &= ~(1ull << core);
+  watch_cover_ = 0;
+  std::fill(watched_bits_.begin(), watched_bits_.end(), 0);
+  for (std::uint64_t m = watched_; m != 0; m &= m - 1) {
+    add_watched(static_cast<CoreId>(std::countr_zero(m)));
+  }
+  sim::ParkedPoll* poll = watches_[core].poll;
+  watches_[core] = Watch{};
+  poll->wake();
+}
+
+void ConflictManager::wake_all() {
+  for (std::uint64_t m = watched_; m != 0; m &= m - 1) {
+    wake(static_cast<CoreId>(std::countr_zero(m)));
+  }
+}
+
+void ConflictManager::wake_on_release(CoreId holder) {
+  for (std::uint64_t m = watched_; m != 0; m &= m - 1) {
+    const CoreId r = static_cast<CoreId>(std::countr_zero(m));
+    if (watches_[r].holder == holder) wake(r);
+  }
+}
+
+void ConflictManager::wake_on_note(CoreId core, LineAddr l, bool write) {
+  const std::uint64_t bit = 1ull << core;
+  for (std::uint64_t m = watched_; m != 0; m &= m - 1) {
+    const CoreId r = static_cast<CoreId>(std::countr_zero(m));
+    const Watch& w = watches_[r];
+    bool may_change;
+    if (w.holder == core) {
+      may_change = w.line == l;
+    } else if (w.holder > core && (write || w.is_write)) {
+      // A read request conflicts only with write sets, so only a noted
+      // write can make `core` its first hitting core.
+      may_change = (probe_columns(write ? write_cols_ : read_cols_, w.lm) &
+                    bit) != 0;
+    } else {
+      may_change = false;
+    }
+    if (may_change) wake(r);
+  }
+}
 
 }  // namespace suvtm::htm

@@ -10,6 +10,11 @@
 // deadlock; the youngest transaction (latest first-attempt timestamp) in the
 // cycle aborts, which matches LogTM's possible-cycle rule closely enough to
 // preserve both progress and the paper's pathology dynamics.
+//
+// Parked stalls (DESIGN.md section 12): a stalled requester's re-polls repeat
+// the NACK until something changes the verdict. watch() records what the
+// verdict depends on, and the events that can change it wake the parked
+// poll, which then re-issues the access; until then its polls are virtual.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +26,10 @@
 #include "htm/txn.hpp"
 #include "obs/obs.hpp"
 #include "sim/config.hpp"
+
+namespace suvtm::sim {
+class ParkedPoll;
+}
 
 namespace suvtm::htm {
 
@@ -53,6 +62,7 @@ class ConflictManager {
   struct Decision {
     Action action = Action::kProceed;
     CoreId holder = kNoCore;  // conflicting core when not kProceed
+    bool exact = false;       // a stall: the holder's exact sets hold the line
     CoreId victim = kNoCore;  // transaction doomed by cycle detection
     AbortCause victim_cause = AbortCause::kNone;  // why `victim` is doomed
     /// Running lazy transactions that only *read* a line this write now
@@ -114,6 +124,7 @@ class ConflictManager {
     } else {
       isolation_mask_ &= ~bit;
       clear_columns(core);
+      if (watch_cover_ & bit) [[unlikely]] wake_on_release(core);
     }
   }
 
@@ -127,12 +138,43 @@ class ConflictManager {
     const std::uint64_t m = Signature::mix(l);
     set_column_bits(read_cols_, core, m);
     touched_[core].push_back(m);
+    if ((watch_cover_ & (1ull << core)) && hits_watched(m)) [[unlikely]] {
+      wake_on_note(core, l, /*write=*/false);
+    }
   }
   void note_write(CoreId core, LineAddr l) {
     const std::uint64_t m = Signature::mix(l);
     set_column_bits(write_cols_, core, m);
     touched_[core].push_back(m);
+    if ((watch_cover_ & (1ull << core)) && hits_watched(m)) [[unlikely]] {
+      wake_on_note(core, l, /*write=*/true);
+    }
   }
+
+  // ---- parked stalls ------------------------------------------------------
+  /// Watch `core`'s stall on `line` (NACKed by `holder`) and wake `poll`
+  /// when an event could change the verdict. The wake triggers:
+  ///  - `holder` releases isolation;
+  ///  - a core numbered below `holder` notes a line whose columns cover
+  ///    `line` (it may become the first hitting core);
+  ///  - `holder` notes `line` itself (the exact flag may change);
+  ///  - `core` is doomed (wake_requester, from HtmSystem::doom);
+  ///  - resync and a registered suspended summary (wake_all).
+  /// Returns false, watching nothing, when the verdict depends on more than
+  /// these: the requester-wins policy and suspended-summary NACKs.
+  bool watch(CoreId core, LineAddr line, bool is_write, CoreId holder,
+             sim::ParkedPoll& poll);
+  /// Count one NACK re-confirmed by a parked poll.
+  void count_nack(bool exact) {
+    ++stats_.conflicts;
+    if (!exact) ++stats_.false_conflicts;
+  }
+  /// Wake `core`'s parked poll, if any.
+  void wake_requester(CoreId core) {
+    if (watched_ & (1ull << core)) [[unlikely]] wake(core);
+  }
+  /// Wake every parked poll.
+  void wake_all();
 
   /// Rebuild `core`'s column bits from a transaction whose signatures were
   /// restored wholesale (deschedule/resume round trip) rather than grown
@@ -149,6 +191,7 @@ class ConflictManager {
   void set_suspended_summary(const Signature* reads, const Signature* writes) {
     suspended_reads_ = reads;
     suspended_writes_ = writes;
+    if (reads != nullptr || writes != nullptr) wake_all();
   }
 
   const ConflictStats& stats() const { return stats_; }
@@ -223,6 +266,33 @@ class ConflictManager {
 
   void clear_columns(CoreId core);
 
+  struct Watch {
+    LineAddr line = 0;
+    std::uint64_t lm = 0;  // Signature::mix(line)
+    CoreId holder = kNoCore;
+    bool is_write = false;
+    sim::ParkedPoll* poll = nullptr;
+  };
+  /// Drop `core`'s watch and wake its poll.
+  void wake(CoreId core);
+  void wake_on_release(CoreId holder);
+  void wake_on_note(CoreId core, LineAddr l, bool write);
+  /// Add `core`'s watch to watch_cover_ and watched_bits_.
+  void add_watched(CoreId core);
+
+  /// A note can only change a watched verdict by setting a column bit of a
+  /// watched line: a core numbered below the holder did not cover the line
+  /// at the NACK, and the holder's own note of the line sets its bits.
+  bool hits_watched(std::uint64_t m) const {
+    std::uint32_t b = static_cast<std::uint32_t>(m);
+    const std::uint32_t step = static_cast<std::uint32_t>(m >> 32) | 1u;
+    for (std::uint32_t i = 0; i < col_k_; ++i, b += step) {
+      const std::uint32_t idx = b & (col_bits_ - 1);
+      if ((watched_bits_[idx >> 6] >> (idx & 63u)) & 1u) return true;
+    }
+    return false;
+  }
+
   std::vector<CoreId> waits_for_;  // kNoCore if not waiting
   std::uint64_t isolation_mask_ = 0;  // cores whose txn holds isolation
   std::uint64_t grant_cand_ = ~0ull;     // see grant_candidates()
@@ -242,6 +312,13 @@ class ConflictManager {
   const Signature* suspended_writes_ = nullptr;
   ConflictStats stats_;
   obs::Recorder* obs_ = nullptr;
+  std::vector<Watch> watches_;     // by requester core
+  std::uint64_t watched_ = 0;      // requesters with a watch
+  /// Cores whose release or notes can wake a watch: every holder and every
+  /// core numbered below one.
+  std::uint64_t watch_cover_ = 0;
+  /// Column positions of every watched line (col_bits_ bits).
+  std::vector<std::uint64_t> watched_bits_;
 };
 
 }  // namespace suvtm::htm

@@ -98,6 +98,7 @@ void HtmSystem::doom(CoreId victim, AbortCause cause) {
   if (!t.active() || t.state == TxnState::kCommitting) return;
   if (!t.doomed) t.doom_cause = cause;
   t.doomed = true;
+  conflicts_.wake_requester(victim);
 }
 
 bool HtmSystem::acquire_commit_token(CoreId c) {

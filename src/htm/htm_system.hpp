@@ -77,7 +77,8 @@ class HtmSystem {
 
   /// Mark a victim transaction for abort (lazy committer wins, or deadlock
   /// cycle). No-op for idle or committing transactions. The first doom's
-  /// cause sticks; it feeds the abort-cause attribution in obs.
+  /// cause sticks; it feeds the abort-cause attribution in obs. Wakes the
+  /// victim's parked stall poll, if any, so it re-issues and aborts.
   void doom(CoreId victim, AbortCause cause = AbortCause::kExplicit);
 
   // --- Thread suspension (paper Section IV-C) ------------------------------

@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -15,7 +16,64 @@ void Scheduler::throw_scheduled_into_past(Cycle t) const {
       "); the calendar queue would mis-bucket it a full window late");
 }
 
+void Scheduler::throw_virtual_only() const {
+  throw std::runtime_error(
+      "scheduler: only parked stall polls remain at cycle " +
+      std::to_string(now_) + " (" + std::to_string(virtual_pending_) +
+      " of them); no event is left that could wake them, so they would "
+      "re-poll forever");
+}
+
 void Scheduler::obs_inline_event() { obs_->on_inline_event(); }
+
+void Scheduler::materialize(std::uint32_t idx, const ParkedPoll* upto) {
+  VList& l = vlists_[idx];
+  Bucket& b = wheel_[idx];
+  while (l.head != nullptr) {
+    ParkedPoll* p = l.head;
+    l.head = p->vnext_;
+    p->vnext_ = nullptr;
+    p->state_ = ParkedPoll::State::kQueued;
+    // Same bucket, so window_count_ and the occupancy bit stay as they are.
+    // Bucket capacity is retained across laps.
+    // lint: allow(growth-in-loop)
+    b.push_back(reinterpret_cast<std::uintptr_t>(p) | 3u);
+    ++seq_;
+    ++pending_;
+    --virtual_pending_;
+    if (p == upto) break;
+  }
+  if (l.head == nullptr) l.tail = nullptr;
+}
+
+void Scheduler::run_virtual(std::uint32_t idx) {
+  VList& l = vlists_[idx];
+  ParkedPoll* p = l.head;
+  l.head = l.tail = nullptr;
+  while (p != nullptr) {
+    ParkedPoll* next = p->vnext_;
+    --window_count_;
+    --virtual_pending_;
+    ++events_;
+    ++virtual_events_;
+    p->on_nack();
+    link(*p, now_ + p->every_);
+    p = next;
+  }
+}
+
+void Scheduler::fire(ParkedPoll& p) {
+  if (p.woken_) {
+    p.state_ = ParkedPoll::State::kIdle;
+    p.woken_ = false;
+    p.on_repoll();
+  } else {
+    // Real only to hold its FIFO slot (or beyond the wheel window): the
+    // verdict is unchanged.
+    p.on_nack();
+    link(p, now_ + p.every_);
+  }
+}
 
 bool Scheduler::run(Cycle limit) {
   while (pending_ > 0) {
@@ -50,8 +108,11 @@ bool Scheduler::run(Cycle limit) {
     std::size_t i = 0;
     while (i < b->size()) {
       const std::uint64_t payload = (*b)[i++];
-      if (payload & 1u) {
-        const auto slot = static_cast<std::uint32_t>(payload >> 1);
+      if ((payload & 3u) == 3u) {
+        fire(*reinterpret_cast<ParkedPoll*>(
+            static_cast<std::uintptr_t>(payload & ~std::uint64_t{3})));
+      } else if (payload & 1u) {
+        const auto slot = static_cast<std::uint32_t>(payload >> 2);
         // Move the callback out before running it: fn may schedule new
         // events, which may reuse (and reassign) the freed slot.
         SmallFn fn = std::move(slots_[slot]);
@@ -66,13 +127,17 @@ bool Scheduler::run(Cycle limit) {
     }
     const std::uint64_t batch = i;
     b->clear();  // keeps capacity for the next lap of the wheel
-    clear_occupied(idx);
     events_ += batch;
     pending_ -= batch;
     window_count_ -= batch;
     SUVTM_OBS_HOOK(obs_, on_batch(now_, batch));
+    // Virtual polls run after every real event of their cycle: a push
+    // into this bucket would have made them real first.
+    if (vlists_[idx].head != nullptr) run_virtual(idx);
+    clear_occupied(idx);
     ++scan_t_;
   }
+  if (virtual_pending_ != 0) throw_virtual_only();
   trim_quiescent();
   return true;
 }

@@ -22,8 +22,21 @@
 //
 // Events are one 64-bit payload each: an even value is a raw coroutine
 // handle (the dominant resume_after case -- no SmallFn construction, no
-// type-erased call), an odd value is (slot << 1) | 1 into a free-listed
-// SmallFn slot pool for general callbacks.
+// type-erased call), (slot << 2) | 1 indexes a free-listed SmallFn slot
+// pool for general callbacks, and a ParkedPoll address | 3 is a stall poll
+// that runs as a real event.
+//
+// Parked stall polls (DESIGN.md section 12): a NACKed request re-polls every
+// `every` cycles. While nothing can change its verdict, each poll is
+// *virtual*: it waits on a per-cycle list beside its bucket, not in it, and
+// a visit after the bucket's real events counts it (events_processed(),
+// the owner's NACK counters) and moves it `every` cycles on. That is the
+// FIFO slot the retry event would hold -- behind every real event of its
+// cycle -- for as long as no event is pushed into that cycle after it. The
+// one push rule keeps it exact: before a push lands in a bucket, the
+// bucket's virtual polls become real events at its tail, in list order. A
+// wake (the verdict may have changed) makes a poll real the same way, with
+// the virtual polls ahead of it; a real poll runs the owner's full access.
 //
 // run() dispatches per *bucket*, not per event: `now_` advances once per
 // simulated cycle, and the observability cycle-cache/sampler update is one
@@ -42,6 +55,42 @@
 
 namespace suvtm::sim {
 
+class Scheduler;
+
+/// A stall poll the scheduler can keep out of its queue (see the header
+/// comment and DESIGN.md section 12). The poller derives from it and owns
+/// the storage; the scheduler owns the fields below while it is parked.
+class ParkedPoll {
+ public:
+  /// One poll re-confirmed the NACK without re-issuing the access: count it
+  /// exactly as the NACKed poll it stands for. Must not touch the queue.
+  virtual void on_nack() = 0;
+  /// A woken poll: re-issue the full access (its verdict may have changed).
+  virtual void on_repoll() = 0;
+
+  bool parked() const { return state_ != State::kIdle; }
+  /// The verdict may have changed: the pending poll becomes a real event
+  /// that re-issues the access. No-op unless parked.
+  inline void wake();
+
+ protected:
+  ParkedPoll() = default;
+  ParkedPoll(const ParkedPoll&) = delete;
+  ParkedPoll& operator=(const ParkedPoll&) = delete;
+  ~ParkedPoll() = default;
+
+ private:
+  friend class Scheduler;
+  enum class State : std::uint8_t { kIdle, kVirtual, kQueued };
+
+  Scheduler* sched_ = nullptr;
+  ParkedPoll* vnext_ = nullptr;  // next virtual poll of the same cycle
+  Cycle next_ = 0;               // cycle of the pending poll
+  Cycle every_ = 0;              // poll interval
+  State state_ = State::kIdle;
+  bool woken_ = false;
+};
+
 class Scheduler {
  public:
   /// Wheel geometry: one bucket per cycle, covering a sliding window of
@@ -57,7 +106,7 @@ class Scheduler {
   static constexpr std::size_t kSlotPoolTrim = 1024;
   static constexpr std::size_t kBucketCapacityTrim = 64;
 
-  Scheduler() : wheel_(kWheelSize) {}
+  Scheduler() : wheel_(kWheelSize), vlists_(kWheelSize) {}
 
   /// Current simulated time.
   Cycle now() const { return now_; }
@@ -79,7 +128,7 @@ class Scheduler {
       free_slots_.pop_back();
       slots_[slot] = std::move(fn);
     }
-    push(t, (static_cast<std::uint64_t>(slot) << 1) | 1u);
+    push(t, (static_cast<std::uint64_t>(slot) << 2) | 1u);
   }
 
   /// Run `fn` `delay` cycles from now.
@@ -100,8 +149,22 @@ class Scheduler {
     resume_at(now_ + delay, h);
   }
 
+  /// Park `p` (not already parked): it polls at `first`, then every `every`
+  /// (> 0) cycles, each poll virtual until p.wake(). Its owner has already
+  /// counted the NACK that parked it.
+  void park(ParkedPoll& p, Cycle first, Cycle every) {
+    check_not_past(first);
+    assert(!p.parked() && every > 0);
+    p.sched_ = this;
+    p.every_ = every;
+    p.woken_ = false;
+    link(p, first);
+  }
+
   /// Process events until the queue is empty or `limit` cycles elapse.
-  /// Returns false if the limit was hit with events still pending.
+  /// Returns false if the limit was hit with events still pending. Throws
+  /// std::runtime_error if only virtual polls remain: nothing is left that
+  /// could wake them, so they would re-poll forever.
   bool run(Cycle limit);
 
   /// Account for a simulated event completed inline by the fast path
@@ -114,8 +177,13 @@ class Scheduler {
 #endif
   }
 
-  std::size_t pending() const { return pending_; }
+  /// Pending events, virtual polls included.
+  std::size_t pending() const { return pending_ + virtual_pending_; }
+  /// Processed events, virtual polls included: the count is the same as if
+  /// every poll had been a queued event.
   std::uint64_t events_processed() const { return events_; }
+  /// How many of events_processed() were virtual polls.
+  std::uint64_t virtual_events() const { return virtual_events_; }
 
   /// Observability: the run loop advances the recorder's cycle cache and
   /// drives its periodic occupancy sampler (nullptr = off).
@@ -168,6 +236,11 @@ class Scheduler {
     // difference below is exact.
     if (t - window_start_ < kWheelSize) {
       const std::uint32_t idx = static_cast<std::uint32_t>(t & kWheelMask);
+      // The push rule: virtual polls of cycle t were pushed before this
+      // event would be, so they take their FIFO slots first.
+      if (vlists_[idx].head != nullptr) [[unlikely]] {
+        materialize(idx, nullptr);
+      }
       wheel_[idx].push_back(payload);
       mark_occupied(idx);
       ++window_count_;
@@ -179,6 +252,50 @@ class Scheduler {
       sift_up(overflow_.size() - 1, Key{t, seq_, payload});
     }
   }
+
+  friend class ParkedPoll;
+
+  /// See ParkedPoll::wake(): `p` is parked.
+  void wake(ParkedPoll& p) {
+    p.woken_ = true;
+    if (p.state_ == ParkedPoll::State::kVirtual) {
+      materialize(static_cast<std::uint32_t>(p.next_ & kWheelMask), &p);
+    }
+  }
+
+  /// Queue `p`'s next poll at `t`: virtual inside the window, a real event
+  /// (overflow heap) beyond it.
+  void link(ParkedPoll& p, Cycle t) {
+    p.vnext_ = nullptr;
+    if (t - window_start_ < kWheelSize) {
+      const std::uint32_t idx = static_cast<std::uint32_t>(t & kWheelMask);
+      VList& l = vlists_[idx];
+      p.state_ = ParkedPoll::State::kVirtual;
+      p.next_ = t;
+      (l.head == nullptr ? l.head : l.tail->vnext_) = &p;
+      l.tail = &p;
+      mark_occupied(idx);
+      ++window_count_;
+      ++virtual_pending_;
+      if (t < scan_t_) scan_t_ = t;
+    } else {
+      p.state_ = ParkedPoll::State::kQueued;
+      push(t, reinterpret_cast<std::uintptr_t>(&p) | 3u);
+    }
+  }
+
+  /// Turn bucket `idx`'s virtual polls into real events at its tail, in list
+  /// order, up to and including `upto` (all of them when nullptr).
+  void materialize(std::uint32_t idx, const ParkedPoll* upto);
+
+  /// After bucket `idx`'s real events: run its virtual polls (count them,
+  /// move each one interval on).
+  void run_virtual(std::uint32_t idx);
+
+  /// Dispatch a real stall poll.
+  void fire(ParkedPoll& p);
+
+  [[noreturn]] void throw_virtual_only() const;
 
   // ---- occupancy bitmap ----------------------------------------------------
   // One bit per bucket plus a one-word summary (bit w set iff occ_[w] != 0),
@@ -277,15 +394,27 @@ class Scheduler {
   Cycle scan_t_ = 0;        // next cycle run() inspects (>= now_)
   std::uint64_t seq_ = 0;
   std::uint64_t events_ = 0;
-  std::size_t pending_ = 0;       // bucketed + overflow events
-  std::size_t window_count_ = 0;  // bucketed events only
+  std::uint64_t virtual_events_ = 0;
+  std::size_t pending_ = 0;          // bucketed + overflow events
+  std::size_t virtual_pending_ = 0;  // virtual polls
+  std::size_t window_count_ = 0;     // bucketed events + virtual polls
   obs::Recorder* obs_ = nullptr;
   std::vector<Bucket> wheel_;     // kWheelSize per-cycle FIFO buckets
   std::uint64_t occ_[kOccWords] = {};  // bit per non-empty bucket
   std::uint64_t occ_summary_ = 0;      // bit w set iff occ_[w] != 0
   std::vector<Key> overflow_;     // binary min-heap by (t, seq)
-  std::vector<SmallFn> slots_;    // parked callbacks, indexed by payload>>1
+  std::vector<SmallFn> slots_;    // parked callbacks, indexed by payload>>2
   std::vector<std::uint32_t> free_slots_;
+  /// Per-bucket FIFO list of virtual polls, linked through vnext_.
+  struct VList {
+    ParkedPoll* head = nullptr;
+    ParkedPoll* tail = nullptr;
+  };
+  std::vector<VList> vlists_;  // kWheelSize, beside wheel_
 };
+
+inline void ParkedPoll::wake() {
+  if (state_ != State::kIdle) sched_->wake(*this);
+}
 
 }  // namespace suvtm::sim

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -53,6 +54,17 @@ Simulator::Simulator(const SimConfig& cfg) : cfg_(cfg) {
         "mem.num_cores = " + std::to_string(cfg_.mem.num_cores) +
         " exceeds " + std::to_string(mem::kMaxCores) +
         " (the directory sharer mask has one bit per core)");
+  }
+  if (cfg_.htm.stall_retry_interval == 0) {
+    throw std::invalid_argument(
+        "htm.stall_retry_interval = 0: a NACKed request would re-poll at "
+        "the same cycle forever (it must be at least 1)");
+  }
+  if (!std::has_single_bit(cfg_.htm.signature_bits)) {
+    throw std::invalid_argument(
+        "htm.signature_bits = " + std::to_string(cfg_.htm.signature_bits) +
+        " is not a power of two (the Bloom signatures and the conflict "
+        "manager's bit-sliced columns index with a mask)");
   }
   const std::uint32_t shards = std::max<std::uint32_t>(1, cfg_.pdes.shards);
   if (cfg_.mem.num_cores % shards != 0) {
@@ -170,6 +182,12 @@ Cycle Simulator::makespan() const {
 std::uint64_t Simulator::events_processed() const {
   std::uint64_t n = 0;
   for (const auto& d : domains_) n += d->sched.events_processed();
+  return n;
+}
+
+std::uint64_t Simulator::virtual_events() const {
+  std::uint64_t n = 0;
+  for (const auto& d : domains_) n += d->sched.virtual_events();
   return n;
 }
 

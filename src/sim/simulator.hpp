@@ -86,6 +86,9 @@ class Simulator {
 
   /// Simulated events processed, summed over domains.
   std::uint64_t events_processed() const;
+  /// How many of events_processed() were virtual stall polls (DESIGN.md
+  /// section 12): a work counter that host noise cannot move.
+  std::uint64_t virtual_events() const;
 
   const Breakdown& breakdown(CoreId c) const { return breakdowns_[c]; }
   Breakdown total_breakdown() const;

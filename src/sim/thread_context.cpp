@@ -18,7 +18,28 @@ ThreadContext::ThreadContext(CoreId core, const SimConfig& cfg,
                              obs::Recorder* obs, const RemotePort* port)
     : core_(core), cfg_(cfg), sched_(sched), mem_(mem), htm_(htm),
       breakdown_(breakdown), rng_(rng_seed), checker_(checker), obs_(obs),
-      port_(port) {}
+      port_(port),
+      may_park_(obs == nullptr && cfg.scheme != Scheme::kDynTm &&
+                cfg.scheme != Scheme::kDynTmSuv) {
+  stall_.tc = this;
+}
+
+void ThreadContext::add_stall_cycles(bool tx) {
+  const Cycle w = cfg_.htm.stall_retry_interval;
+  if (tx) attempt_.add_stalled(w);
+  else breakdown_.add(Bucket::kNoTrans, w);
+}
+
+void ThreadContext::StallPoll::on_nack() {
+  tc->htm_.conflicts().count_nack(exact);
+  tc->add_stall_cycles(tx);
+}
+
+void ThreadContext::StallPoll::on_repoll() {
+  // The coroutine is suspended on the poll, so a fast-path completion
+  // resumes it directly.
+  if (!tc->issue_mem(*aw, h)) h.resume();
+}
 
 htm::Txn& ThreadContext::txn() { return htm_.txn(core_); }
 
@@ -110,16 +131,22 @@ bool ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
   }
   if (dec.action == htm::ConflictManager::Action::kStall) {
     const Cycle w = cfg_.htm.stall_retry_interval;
-    if (tx) attempt_.add_stalled(w);
-    else breakdown_.add(Bucket::kNoTrans, w);
+    add_stall_cycles(tx);
     SUVTM_OBS_HOOK(obs_, on_stall(core_, sched_.now(), dec.holder, line, w));
     // A stall is a synchronization point: flush any fast-path run-ahead
-    // into the retry delay. The coroutine is already suspended when the
-    // retry fires, so a fast-path completion there resumes it directly.
-    sched_.after(skew_ + w, [this, &aw, h] {
-      if (!issue_mem(aw, h)) h.resume();
-    });
+    // into the first retry. Later polls stay virtual while the conflict
+    // manager watches for an event that could change the verdict; an
+    // unwatched stall is woken at once, so every poll re-issues the access.
+    stall_.aw = &aw;
+    stall_.h = h;
+    stall_.tx = tx;
+    stall_.exact = dec.exact;
+    sched_.park(stall_, sched_.now() + skew_ + w, w);
     skew_ = 0;
+    if (!may_park_ ||
+        !htm_.conflicts().watch(core_, line, exclusive, dec.holder, stall_)) {
+      stall_.wake();
+    }
     return true;
   }
 

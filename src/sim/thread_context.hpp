@@ -13,6 +13,7 @@
 #include "sim/barrier.hpp"
 #include "sim/breakdown.hpp"
 #include "sim/config.hpp"
+#include "sim/scheduler.hpp"
 #include "sim/task.hpp"
 
 namespace suvtm::check {
@@ -28,7 +29,6 @@ class MemorySystem;
 
 namespace suvtm::sim {
 
-class Scheduler;
 struct RemotePort;
 
 class ThreadContext {
@@ -196,6 +196,21 @@ class ThreadContext {
   /// isolation is still held, then resume `h` with `*aborted` set.
   void start_abort(bool* aborted, std::coroutine_handle<> h);
 
+  /// The retry of a NACKed access, parked on the scheduler (DESIGN.md
+  /// section 12). At most one per core: the requester is suspended on it.
+  struct StallPoll final : ParkedPoll {
+    ThreadContext* tc = nullptr;
+    MemAwaiter* aw = nullptr;
+    std::coroutine_handle<> h;
+    bool tx = false;     // the stalled access is transactional
+    bool exact = false;  // the holder's exact sets hold the line
+    void on_nack() override;
+    void on_repoll() override;
+  };
+
+  /// Count one NACKed poll of the stalled access: its stall cycles.
+  void add_stall_cycles(bool tx);
+
   CoreId core_;
   const SimConfig& cfg_;
   Scheduler& sched_;
@@ -212,6 +227,12 @@ class ThreadContext {
   /// cfg.fastpath_quantum; folded into the next scheduled delay at every
   /// synchronization point (miss, stall, txn boundary, backoff, barrier).
   Cycle skew_ = 0;
+  StallPoll stall_;
+  /// Stall polls may go virtual: off with observability hooks (the sampler
+  /// counts dispatched events) and under DynTM (a lazy holder's hit rule
+  /// changes at commit, which no wake trigger sees; lazy requesters exist
+  /// only there too).
+  bool may_park_;
 };
 
 }  // namespace suvtm::sim

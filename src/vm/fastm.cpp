@@ -23,7 +23,6 @@ htm::StoreAction FasTm::on_tx_store(htm::Txn& txn, Addr a) {
   if (txn.write_lines.count(line) == 0) {
     const mem::Cache::Line* ln = mem_.l1(txn.core).find(line);
     if (ln && ln->state == mem::CohState::kModified && !ln->speculative) {
-      ++fstats_.dirty_writebacks;
       extra += params_.fastm_writeback_extra;
     }
   }
@@ -38,13 +37,9 @@ void FasTm::on_commit_done(htm::Txn& txn) {
 }
 
 Cycle FasTm::abort_cost(htm::Txn& txn) {
-  if (!txn.degenerated) {
-    ++fstats_.fast_aborts;
-    return params_.fastm_flash_abort;
-  }
+  if (!txn.degenerated) return params_.fastm_flash_abort;
   // Degenerated: flash what is still in the L1, walk the software log for
   // the words stored after degeneration.
-  ++fstats_.slow_aborts;
   const Cycle walked =
       static_cast<Cycle>(txn.undo.size() - txn.degen_undo_mark);
   SUVTM_OBS_HOOK(obs_, on_undo_walk(walked));

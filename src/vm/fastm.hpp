@@ -13,19 +13,13 @@
 // LogTM-SE when the L1 cache overflows").
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "htm/version_manager.hpp"
 #include "mem/memory_system.hpp"
 #include "sim/config.hpp"
 
 namespace suvtm::vm {
-
-struct FasTmStats {
-  std::uint64_t dirty_writebacks = 0;  // old-line writebacks on first write
-  std::uint64_t fast_aborts = 0;
-  std::uint64_t slow_aborts = 0;       // aborts after degeneration
-};
 
 class FasTm final : public htm::VersionManager {
  public:
@@ -50,12 +44,9 @@ class FasTm final : public htm::VersionManager {
   void on_spec_eviction(htm::Txn& txn, LineAddr l) override;
   Cycle partial_abort(htm::Txn& txn, std::size_t mark) override;
 
-  const FasTmStats& fastm_stats() const { return fstats_; }
-
  private:
   sim::HtmParams params_;
   mem::MemorySystem& mem_;
-  FasTmStats fstats_;
 };
 
 }  // namespace suvtm::vm
