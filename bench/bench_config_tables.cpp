@@ -30,10 +30,8 @@ int main(int argc, char** argv) {
                 runner::fmt_u64(cfg.mem.l2_bytes / (1024 * 1024)) + " MB " +
                     runner::fmt_u64(cfg.mem.l2_assoc) + "-way, " +
                     runner::fmt_u64(cfg.mem.l2_latency) + "-cycle"});
-  t3.push_back({"main memory", runner::fmt_u64(cfg.mem.memory_banks) +
-                                   " banks, " +
-                                   runner::fmt_u64(cfg.mem.memory_latency) +
-                                   "-cycle"});
+  t3.push_back({"main memory",
+                runner::fmt_u64(cfg.mem.memory_latency) + "-cycle"});
   t3.push_back({"L2 directory", "bit vector of sharers, " +
                                     runner::fmt_u64(cfg.mem.directory_latency) +
                                     "-cycle"});

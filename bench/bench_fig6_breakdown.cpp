@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
 
   std::printf("makespan (cycles) and abort ratio per app:\n");
   std::vector<std::vector<std::string>> mk;
-  mk.push_back({"app", "LogTM-SE", "FasTM", "SUV-TM", "abort%% L", "abort%% F",
-                "abort%% S"});
+  mk.push_back({"app", "LogTM-SE", "FasTM", "SUV-TM", "abort% L", "abort% F",
+                "abort% S"});
   for (std::size_t i = 0; i < base.size(); ++i) {
     mk.push_back({base[i].app,
                   runner::fmt_u64(results[sim::Scheme::kLogTmSe][i].makespan),
@@ -123,6 +123,17 @@ int main(int argc, char** argv) {
              runner::geomean_speedup(logtm, suvtm_r, true));
   report.set("suv_vs_fastm_all",
              runner::geomean_speedup(fastm, suvtm_r, false));
+  report.set("suv_vs_fastm_high",
+             runner::geomean_speedup(fastm, suvtm_r, true));
+  // Per-app makespans and abort ratios: the measured Figure 6 table that
+  // tools/gen_headline_docs.py writes into EXPERIMENTS.md.
+  for (sim::Scheme s : schemes) {
+    for (const auto& r : results[s]) {
+      const std::string key = std::string(sim::scheme_cli_name(s)) + "." + r.app;
+      report.set("makespan." + key, r.makespan);
+      report.set("abort_pct." + key, 100.0 * r.htm.abort_ratio());
+    }
+  }
   // The per-app SUV-TM metrics namespace: the paper's scheme, one block per
   // application, straight from the hook-fed registry plus derived rates.
   for (const auto& r : suvtm_r) {

@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   std::printf("%s\n", runner::render_table(rows).c_str());
 
   std::vector<std::vector<std::string>> mk;
-  mk.push_back({"app", "DynTM", "DynTM+SUV", "speedup", "lazy%% D",
-                "lazy%% D+S", "Committing D", "Committing D+S"});
+  mk.push_back({"app", "DynTM", "DynTM+SUV", "speedup", "lazy% D",
+                "lazy% D+S", "Committing D", "Committing D+S"});
   for (std::size_t i = 0; i < d.size(); ++i) {
     const auto& a = d[i];
     const auto& b = ds[i];
@@ -98,6 +98,14 @@ int main(int argc, char** argv) {
              wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
   report.set("dyntm_suv_vs_dyntm_all", runner::geomean_speedup(d, ds, false));
   report.set("dyntm_suv_vs_dyntm_high", runner::geomean_speedup(d, ds, true));
+  // Per-app makespans and Committing cycles, keyed by scheme CLI name.
+  for (const auto& r : flat) {
+    const std::string key =
+        std::string(sim::scheme_cli_name(r.scheme)) + "." + r.app;
+    report.set("makespan." + key, r.makespan);
+    report.set("committing." + key,
+               r.breakdown.get(sim::Bucket::kCommitting));
+  }
   report.write();
   return 0;
 }

@@ -21,10 +21,11 @@ const char* coh_state_name(CohState s);
 
 class Cache {
  public:
-  /// Trivially default-constructible on purpose: a simulator run constructs
+  /// Trivially default-constructible on purpose: a simulator run holds
   /// megabytes of L2 lines, and all-zero bytes ARE the invalid state
-  /// (kInvalid == 0), so vector growth is a memset instead of a per-element
-  /// constructor loop. Aggregate-initialize when building a real line.
+  /// (kInvalid == 0), so the array comes zeroed from calloc with no
+  /// per-element constructor loop. Aggregate-initialize when building a
+  /// real line.
   struct Line {
     LineAddr tag;            // full line address (simpler than tag bits)
     CohState state;          // kInvalid (== 0) when the way is empty
@@ -119,9 +120,12 @@ class Cache {
   std::uint64_t tick_ = 0;
   std::size_t line_count_ = 0;
   // calloc-backed (Line is an implicit-lifetime type and all-zero == all
-  // invalid): a simulator run that touches a fraction of the multi-megabyte
-  // L2 tag array never faults in the untouched pages, where an eagerly
-  // zeroed vector made every Simulator construction pay for the full array.
+  // invalid). When glibc serves the multi-megabyte L2 array from fresh
+  // pages (a newly extended heap top or a new mapping), calloc skips the
+  // zeroing and a run that touches a fraction of the array never faults in
+  // the rest. When it recycles a freed chunk instead, calloc zeroes the
+  // whole array, so construction cost depends on the allocator's heap
+  // state, not only on the cache size.
   std::unique_ptr<Line[], FreeDeleter> lines_;
 };
 

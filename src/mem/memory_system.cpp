@@ -131,7 +131,6 @@ AccessOutcome MemorySystem::access(CoreId core, Addr a, bool is_write) {
     if (e->owner != kNoCore && e->owner != core) {
       // Forward from the owner; owner downgrades M/E -> S (data to L2).
       ++stats_.forwards;
-      SUVTM_OBS_HOOK(obs_, on_dir_forward(core, e->owner, l));
       out.latency +=
           mesh_.latency(bank, e->owner) + mesh_.latency(e->owner, core);
       if (Cache::Line* oln = l1_[e->owner].find(l)) {
@@ -162,15 +161,13 @@ AccessOutcome MemorySystem::access(CoreId core, Addr a, bool is_write) {
       out.evicted_line = v.line;
     }
     l1_eviction(core, v);
-    SUVTM_OBS_HOOK(obs_, on_l1_miss(core, obs_->now(), l, out.latency,
-                                    out.l2_hit));
+    SUVTM_OBS_HOOK(obs_, on_l1_miss(out.latency));
     return out;
   }
 
   // GETM.
   if (e->owner != kNoCore && e->owner != core) {
     ++stats_.forwards;
-    SUVTM_OBS_HOOK(obs_, on_dir_forward(core, e->owner, l));
     out.latency +=
         mesh_.latency(bank, e->owner) + mesh_.latency(e->owner, core);
     if (Cache::Line* oln = l1_[e->owner].find(l)) {
@@ -212,8 +209,7 @@ AccessOutcome MemorySystem::access(CoreId core, Addr a, bool is_write) {
     out.evicted_line = v.line;
   }
   l1_eviction(core, v);
-  SUVTM_OBS_HOOK(obs_, on_l1_miss(core, obs_->now(), l, out.latency,
-                                  out.l2_hit));
+  SUVTM_OBS_HOOK(obs_, on_l1_miss(out.latency));
   return out;
 }
 

@@ -78,8 +78,6 @@ const char* cat_of(EventKind k) {
     case EventKind::kStallSpan:
     case EventKind::kAbortEdge:
       return "conflict";
-    case EventKind::kL1Miss:
-    case EventKind::kDirForward:
     case EventKind::kSpecEviction:
       return "mem";
     default:
@@ -154,15 +152,6 @@ void append_event(std::string& out, std::size_t pid, const TraceEvent& e,
       append_kv(out, "victim_site", e.b, first);
       append_kv_hex(out, "line", e.addr, first);
       append_kv_str(out, "cause", abort_cause_name(cause), first);
-      break;
-    case EventKind::kL1Miss:
-      append_kv(out, "latency", e.a, first);
-      append_kv(out, "l2_hit", e.b, first);
-      append_kv_hex(out, "line", e.addr, first);
-      break;
-    case EventKind::kDirForward:
-      append_kv(out, "owner", e.a, first);
-      append_kv_hex(out, "line", e.addr, first);
       break;
     case EventKind::kSpecEviction:
     case EventKind::kTableSpill:

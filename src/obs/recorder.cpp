@@ -3,11 +3,7 @@
 namespace suvtm::obs {
 
 Recorder::Recorder(const sim::ObsParams& params, std::uint32_t num_cores)
-    : trace_on_(params.trace), trace_mem_(params.trace_mem),
-      sample_interval_(params.sample_interval_events == 0
-                           ? 1
-                           : params.sample_interval_events),
-      sample_countdown_(sample_interval_), tracer_(params.max_trace_events),
+    : trace_on_(params.trace), tracer_(params.max_trace_events),
       cores_(num_cores) {}
 
 void Recorder::close_stall(CoreId c, Cycle t) {
@@ -192,29 +188,8 @@ void Recorder::on_summary_remove(bool stale) {
   if (stale) metrics_.add(Counter::kSummaryStaleRemoves);
 }
 
-void Recorder::on_l1_miss(CoreId c, Cycle t, LineAddr line, Cycle latency,
-                          bool l2_hit) {
+void Recorder::on_l1_miss(Cycle latency) {
   metrics_.observe(Histogram::kMissLatency, latency);
-  if (!trace_mem_) return;
-  TraceEvent e;
-  e.ts = t;
-  e.addr = line;
-  e.a = static_cast<std::uint32_t>(latency);
-  e.b = l2_hit ? 1 : 0;
-  e.kind = EventKind::kL1Miss;
-  e.core = c;
-  emit(e);
-}
-
-void Recorder::on_dir_forward(CoreId requester, CoreId owner, LineAddr line) {
-  if (!trace_mem_) return;
-  TraceEvent e;
-  e.ts = now_;
-  e.addr = line;
-  e.a = owner;
-  e.kind = EventKind::kDirForward;
-  e.core = requester;
-  emit(e);
 }
 
 void Recorder::on_cache_evict(bool l2, LineAddr /*victim*/) {

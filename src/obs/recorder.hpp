@@ -22,15 +22,16 @@ class Recorder {
  public:
   Recorder(const sim::ObsParams& params, std::uint32_t num_cores);
 
+  /// Occupancy gauges are sampled every this many scheduler events.
+  static constexpr std::uint32_t kSampleIntervalEvents = 8192;
+
   bool tracing() const { return trace_on_; }
-  bool trace_mem() const { return trace_mem_; }
-  Cycle now() const { return now_; }
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
   const TraceData& trace() const { return tracer_.data(); }
   TraceData take_trace() { return tracer_.take(); }
 
-  /// Gauge sampler, invoked every `sample_interval_events` scheduler events.
+  /// Gauge sampler, invoked every kSampleIntervalEvents scheduler events.
   /// Installed by the Simulator (it knows which structures exist).
   using Sampler = std::function<void(Metrics&, Cycle)>;
   void set_sampler(Sampler s) { sampler_ = std::move(s); }
@@ -42,7 +43,7 @@ class Recorder {
     now_ = t;
     while (n >= sample_countdown_) {
       n -= sample_countdown_;
-      sample_countdown_ = sample_interval_;
+      sample_countdown_ = kSampleIntervalEvents;
       if (sampler_) sampler_(metrics_, now_);
     }
     sample_countdown_ -= static_cast<std::uint32_t>(n);
@@ -52,7 +53,7 @@ class Recorder {
   /// advances the sampler deadline (the cycle cache is already current).
   void on_inline_event() {
     if (--sample_countdown_ == 0) {
-      sample_countdown_ = sample_interval_;
+      sample_countdown_ = kSampleIntervalEvents;
       if (sampler_) sampler_(metrics_, now_);
     }
   }
@@ -90,9 +91,7 @@ class Recorder {
   void on_summary_remove(bool stale);
 
   // ---- mem ----------------------------------------------------------------
-  void on_l1_miss(CoreId c, Cycle t, LineAddr line, Cycle latency,
-                  bool l2_hit);
-  void on_dir_forward(CoreId requester, CoreId owner, LineAddr line);
+  void on_l1_miss(Cycle latency);
   void on_cache_evict(bool l2, LineAddr victim);
   void on_dir_drop();
   void on_spec_eviction(CoreId c, LineAddr line);
@@ -118,9 +117,7 @@ class Recorder {
   };
 
   bool trace_on_ = false;
-  bool trace_mem_ = false;
-  std::uint32_t sample_interval_ = 0;
-  std::uint32_t sample_countdown_ = 0;
+  std::uint32_t sample_countdown_ = kSampleIntervalEvents;
   Cycle now_ = 0;
   Tracer tracer_;
   Metrics metrics_;

@@ -12,8 +12,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kAbortEdge: return "abort-edge";
     case EventKind::kSuspend: return "suspend";
     case EventKind::kResume: return "resume";
-    case EventKind::kL1Miss: return "l1-miss";
-    case EventKind::kDirForward: return "dir-forward";
     case EventKind::kSpecEviction: return "spec-eviction";
     case EventKind::kDegeneration: return "degeneration";
     case EventKind::kTableSpill: return "table-spill";

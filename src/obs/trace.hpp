@@ -21,8 +21,6 @@ enum class EventKind : std::uint8_t {
   kAbortEdge,     ///< instant: core=aborter, a=victim, b=victim site, cause
   kSuspend,       ///< instant: txn descheduled from core
   kResume,        ///< instant: txn rescheduled onto core
-  kL1Miss,        ///< instant (trace_mem): a=service latency, b=L2 hit
-  kDirForward,    ///< instant (trace_mem): a=owner core, addr=line
   kSpecEviction,  ///< instant: speculative line left the L1 (overflow)
   kDegeneration,  ///< instant: FasTM fell back to LogTM-SE behaviour
   kTableSpill,    ///< instant: SUV redirect entry evicted L2 -> memory

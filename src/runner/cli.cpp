@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 
@@ -28,28 +29,24 @@ void fold_metrics(const std::vector<RunResult>& results, BenchReport& report) {
   report.set_metrics(merged, "metrics.");
 }
 
-}  // namespace
-
-Cli Cli::parse(int& argc, char** argv) {
+/// Cli::parse proper; throws std::invalid_argument on a malformed count.
+Cli parse_flags(int& argc, char** argv) {
   Cli cli;
 
   // --sim-threads strips before --jobs: when given without an explicit
   // --jobs, the default sweep job count is divided by it so shard threads
   // and sweep workers share the host instead of multiplying.
   if (const char* e = std::getenv("SUVTM_SIM_THREADS")) {
-    const long v = std::strtol(e, nullptr, 10);
-    if (v > 0) cli.sim_threads = static_cast<unsigned>(v);
+    cli.sim_threads = parse_thread_count(e, "SUVTM_SIM_THREADS");
   }
   bool jobs_given = false;
   int w0 = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
     if (a == "--sim-threads" && i + 1 < argc) {
-      cli.sim_threads = static_cast<unsigned>(
-          std::strtoul(argv[++i], nullptr, 10));
+      cli.sim_threads = parse_thread_count(argv[++i], "--sim-threads");
     } else if (a.rfind("--sim-threads=", 0) == 0) {
-      cli.sim_threads = static_cast<unsigned>(
-          std::strtoul(argv[i] + 14, nullptr, 10));
+      cli.sim_threads = parse_thread_count(argv[i] + 14, "--sim-threads");
     } else {
       if (a == "--jobs" || a.rfind("--jobs=", 0) == 0) jobs_given = true;
       argv[w0++] = argv[i];
@@ -106,6 +103,17 @@ Cli Cli::parse(int& argc, char** argv) {
                  "SUVTM_OBS=OFF; nothing will be recorded\n");
   }
   return cli;
+}
+
+}  // namespace
+
+Cli Cli::parse(int& argc, char** argv) {
+  try {
+    return parse_flags(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 void Cli::apply(sim::SimConfig& cfg) const {

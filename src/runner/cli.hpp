@@ -40,7 +40,9 @@ struct Cli {
   /// Parse and strip the shared flags plus all positionals from argv.
   /// Unknown --flags stay in argv for harness-specific parsing. Sizes the
   /// process-wide default executor to `jobs` and warns once when --check or
-  /// --trace/--metrics ask for hooks this build compiled out.
+  /// --trace/--metrics ask for hooks this build compiled out. A malformed
+  /// thread count (--jobs, --sim-threads, SUVTM_JOBS, SUVTM_SIM_THREADS)
+  /// is a usage error: it is printed and the process exits with status 2.
   static Cli parse(int& argc, char** argv);
 
   bool tracing() const { return !trace_path.empty(); }

@@ -1,10 +1,25 @@
 #include "runner/parallel.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 namespace suvtm::runner {
+
+unsigned parse_thread_count(const char* text, const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (*text < '0' || *text > '9' || *end != '\0' || errno != 0 || v < 1 ||
+      v > static_cast<long>(kMaxThreadCount)) {
+    throw std::invalid_argument(what + " = '" + text +
+                                "': expected a thread count in [1, " +
+                                std::to_string(kMaxThreadCount) + "]");
+  }
+  return static_cast<unsigned>(v);
+}
 
 ParallelExecutor::ParallelExecutor(unsigned jobs)
     : jobs_(jobs == 0 ? default_jobs() : jobs) {
@@ -79,8 +94,7 @@ void ParallelExecutor::worker_loop() {
 
 unsigned ParallelExecutor::default_jobs() {
   if (const char* env = std::getenv("SUVTM_JOBS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<unsigned>(v);
+    return parse_thread_count(env, "SUVTM_JOBS");
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -94,13 +108,11 @@ unsigned ParallelExecutor::parse_jobs(int& argc, char** argv) {
     if (arg == "--jobs") {
       // A bare trailing --jobs is consumed (default job count) rather than
       // left behind to be misread as a positional argument.
-      if (r + 1 < argc) {
-        jobs = static_cast<unsigned>(std::strtol(argv[++r], nullptr, 10));
-      }
+      if (r + 1 < argc) jobs = parse_thread_count(argv[++r], "--jobs");
       continue;
     }
     if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<unsigned>(std::strtol(arg.c_str() + 7, nullptr, 10));
+      jobs = parse_thread_count(argv[r] + 7, "--jobs");
       continue;
     }
     argv[w++] = argv[r];

@@ -17,10 +17,20 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace suvtm::runner {
+
+/// Largest host thread count accepted from --jobs, --sim-threads,
+/// SUVTM_JOBS or SUVTM_SIM_THREADS.
+inline constexpr unsigned kMaxThreadCount = 256;
+
+/// Parse a host thread count read from `what` (the flag or environment
+/// variable it came from): a decimal integer in [1, kMaxThreadCount].
+/// Throws std::invalid_argument starting with `what` otherwise.
+unsigned parse_thread_count(const char* text, const std::string& what);
 
 class ParallelExecutor {
  public:
@@ -52,11 +62,12 @@ class ParallelExecutor {
   }
 
   /// Resolution order: SUVTM_JOBS env var, else hardware concurrency.
+  /// Throws std::invalid_argument on a malformed SUVTM_JOBS.
   static unsigned default_jobs();
 
   /// Strip a `--jobs N` (or `--jobs=N`) argument from argv, returning the
-  /// requested job count (default_jobs() if absent). Bench harnesses call
-  /// this before their positional-argument parsing.
+  /// requested job count (default_jobs() if absent). Throws
+  /// std::invalid_argument on a malformed count (see parse_thread_count).
   static unsigned parse_jobs(int& argc, char** argv);
 
  private:

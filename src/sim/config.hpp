@@ -39,6 +39,13 @@ const char* scheme_cli_name(Scheme s);
 bool scheme_from_string(std::string_view s, Scheme* out);
 
 /// Memory-hierarchy parameters (paper Table III).
+///
+/// Geometry: core c sits on mesh tile c, and tiles fill `mesh_dim`-wide
+/// rows (tile t is at column t % mesh_dim, row t / mesh_dim). L2 banks
+/// interleave by line address over the first mesh_dim^2 tiles. num_cores
+/// may exceed mesh_dim^2: the extra cores occupy further rows below the
+/// square that holds the banks (the 32-core sharded machine does this on
+/// the default 4-wide mesh).
 struct MemParams {
   std::uint32_t num_cores = 16;        // 4x4 mesh
   std::uint32_t mesh_dim = 4;
@@ -53,7 +60,6 @@ struct MemParams {
 
   Cycle directory_latency = 6;
   Cycle memory_latency = 150;
-  std::uint32_t memory_banks = 4;
 
   Cycle mesh_wire_latency = 2;   // per hop
   Cycle mesh_route_latency = 1;  // per hop
@@ -114,7 +120,6 @@ struct SuvParams {
   std::uint32_t l2_table_entries = 16384; // 8-way shared
   std::uint32_t l2_table_assoc = 8;
   Cycle l2_table_latency = 10;
-  Cycle memory_table_latency = 150;       // software-managed swapped entries
   Cycle misspeculation_penalty = 100;     // wrong speculative use of original
 
   std::uint32_t summary_signature_bits = 2048;
@@ -125,17 +130,14 @@ struct SuvParams {
   Cycle flash_abort = 2;
 };
 
-/// True when the SUVTM_CHECK environment variable asks for checking (any
-/// value other than empty/"0"). Read once per process so the same binary
-/// serves both the plain and the `_checked` ctest variants.
-inline bool check_enabled_by_env() {
-  static const bool v = [] {
-    // lint: allow(wallclock-entropy): deliberate config gate -- selects
-    // which subsystems run, read once per process, never a simulated value
-    const char* e = std::getenv("SUVTM_CHECK");
-    return e != nullptr && *e != '\0' && !(e[0] == '0' && e[1] == '\0');
-  }();
-  return v;
+/// Env-var gate for the check and observability switches: set (non-empty,
+/// not "0") means enabled. Lets the same binary serve both the plain and
+/// the `_checked` ctest variants.
+inline bool env_flag(const char* var) {
+  // lint: allow(wallclock-entropy): deliberate config gate -- selects
+  // which subsystems run, never a simulated value
+  const char* e = std::getenv(var);
+  return e != nullptr && *e != '\0' && !(e[0] == '0' && e[1] == '\0');
 }
 
 /// Runtime knobs for the correctness-checking subsystem (src/check). Only
@@ -144,7 +146,8 @@ inline bool check_enabled_by_env() {
 struct CheckParams {
   /// Master switch: record the access history, run the serializability
   /// oracle at end of run, and audit structural invariants while running.
-  bool enabled = check_enabled_by_env();
+  /// Defaults from the SUVTM_CHECK env var.
+  bool enabled = env_flag("SUVTM_CHECK");
   /// Sampling period for the full structural audits: run them every this
   /// many commit completions (0 disables sampling; they always run once
   /// more at end of run). Sampling trades detection *latency*, not
@@ -164,15 +167,6 @@ struct CheckParams {
   bool reference = false;
 };
 
-/// Env-var gate shared by the observability knobs: set (non-empty, not "0")
-/// means enabled. Read once per process, like check_enabled_by_env().
-inline bool env_flag(const char* var) {
-  // lint: allow(wallclock-entropy): deliberate config gate -- selects
-  // which subsystems run, read once per process, never a simulated value
-  const char* e = std::getenv(var);
-  return e != nullptr && *e != '\0' && !(e[0] == '0' && e[1] == '\0');
-}
-
 /// Runtime knobs for the observability subsystem (src/obs). Only consulted
 /// when the hooks were compiled in (-DSUVTM_OBS=ON); with the hooks compiled
 /// out this block is inert. A Recorder is created iff trace or metrics is
@@ -184,11 +178,6 @@ struct ObsParams {
   /// Fill the metrics registry and harvest a MetricsSnapshot into the
   /// RunResult. Defaults from the SUVTM_METRICS env var.
   bool metrics = env_flag("SUVTM_METRICS");
-  /// Also trace per-access memory events (L1 misses, directory forwards).
-  /// Voluminous; off by default even when tracing.
-  bool trace_mem = false;
-  /// Sample occupancy gauges every this many scheduler events.
-  std::uint32_t sample_interval_events = 8192;
   /// Hard cap on recorded trace events per run (overflow counts `dropped`).
   std::uint64_t max_trace_events = 1ull << 20;
 
@@ -216,10 +205,6 @@ struct PdesParams {
   /// SUVTM_SIM_THREADS). Clamped to `shards`; ignored when shards == 1.
   /// No semantic effect by construction.
   std::uint32_t host_threads = 1;
-  /// Conservative synchronization quantum in cycles. 0 = default (4096),
-  /// floored by the mesh's minimum cross-shard hop latency so the window
-  /// merge can never under-charge the NoC on a mailbox delivery.
-  Cycle window_cycles = 0;
 };
 
 struct SimConfig {
@@ -233,13 +218,13 @@ struct SimConfig {
   std::uint64_t seed = 1;
   /// Safety valve: abort the simulation if it exceeds this many cycles.
   Cycle max_cycles = 5'000'000'000ull;
-  /// Non-transactional fast path: a core executing straight-line
-  /// non-transactional L1 hits (and short compute) may run up to this many
-  /// cycles ahead of the scheduler before synchronizing back through it.
-  /// The run-ahead is flushed at misses, stalls, transaction boundaries,
-  /// barriers and backoff, so global event order stays deterministic.
-  /// 0 disables the fast path entirely.
-  Cycle fastpath_quantum = 64;
 };
+
+/// The one place that decides whether a config can run. Throws
+/// std::invalid_argument whose message starts with the offending field's
+/// path (e.g. "mem.l1_assoc = 3 ..."); returns normally otherwise. The
+/// Simulator constructor calls it, so every run is checked. The rules are
+/// listed in DESIGN.md ("Configuration").
+void validate(const SimConfig& cfg);
 
 }  // namespace suvtm::sim

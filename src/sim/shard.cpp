@@ -10,14 +10,12 @@
 namespace suvtm::sim {
 
 Cycle ShardRuntime::effective_window(const SimConfig& cfg) {
-  const Cycle w = cfg.pdes.window_cycles != 0 ? cfg.pdes.window_cycles
-                                              : kDefaultWindowCycles;
   // Floor: one NoC hop. A remote request posted in window k is serviced at
   // boundary k+1, i.e. at most one window after its post cycle; keeping the
   // window at least one hop long means the boundary round-up never delivers
   // a message faster than the mesh could physically carry it.
   const Cycle hop = cfg.mem.mesh_wire_latency + cfg.mem.mesh_route_latency;
-  return std::max(w, hop);
+  return std::max(kWindowCycles, hop);
 }
 
 ShardRuntime::ShardRuntime(const SimConfig& cfg, const ShardMap& map,
@@ -55,8 +53,7 @@ bool ShardRuntime::run(Cycle max_cycles) {
   // assignment means every thread count -- including N == 1 -- executes the
   // identical per-domain schedule, so bit-identity across thread counts is
   // a property of the code path, not a property we hope the merge restores.
-  const std::uint32_t N = std::min<std::uint32_t>(
-      std::max<std::uint32_t>(1, cfg_.pdes.host_threads), S);
+  const std::uint32_t N = std::min<std::uint32_t>(cfg_.pdes.host_threads, S);
 
   std::barrier bar(static_cast<std::ptrdiff_t>(N),
                    [this]() noexcept { merge_boundary(); });

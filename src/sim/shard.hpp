@@ -127,8 +127,8 @@ struct DomainPort {
 /// See shard.cpp for the merge and the timing model of remote reads.
 class ShardRuntime {
  public:
-  /// Default conservative window when cfg.pdes.window_cycles == 0.
-  static constexpr Cycle kDefaultWindowCycles = 4096;
+  /// Conservative synchronization window, before the one-hop floor.
+  static constexpr Cycle kWindowCycles = 4096;
 
   /// `breakdowns` is the simulator's per-core breakdown array (indexed by
   /// global CoreId); the merger charges a requester's remote round trip
@@ -149,10 +149,10 @@ class ShardRuntime {
 
   Cycle window_cycles() const { return window_; }
 
-  /// The effective synchronization quantum for `cfg`: the configured (or
-  /// default 4096-cycle) window, floored by the mesh's minimum cross-shard
-  /// hop latency so a boundary-merged message can never be delivered
-  /// faster than one NoC hop.
+  /// The effective synchronization quantum for `cfg`: kWindowCycles,
+  /// floored by the mesh's minimum cross-shard hop latency so a
+  /// boundary-merged message can never be delivered faster than one NoC
+  /// hop.
   static Cycle effective_window(const SimConfig& cfg);
 
  private:

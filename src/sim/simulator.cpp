@@ -1,9 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
-#include <string>
 
 #include "vm/suv_vm.hpp"
 
@@ -23,7 +21,7 @@ void Simulator::build_domain(Domain& d) {
     d.htm->set_obs(d.recorder.get());
     d.mem->set_obs(d.recorder.get());
 
-    // Occupancy gauges, sampled every cfg.obs.sample_interval_events
+    // Occupancy gauges, sampled every obs::Recorder::kSampleIntervalEvents
     // scheduler events. Everything read here is this domain's own
     // deterministic state, so the series are reproducible across host job
     // and shard-thread counts.
@@ -49,29 +47,8 @@ void Simulator::build_domain(Domain& d) {
 }
 
 Simulator::Simulator(const SimConfig& cfg) : cfg_(cfg) {
-  if (cfg_.mem.num_cores > mem::kMaxCores) {
-    throw std::invalid_argument(
-        "mem.num_cores = " + std::to_string(cfg_.mem.num_cores) +
-        " exceeds " + std::to_string(mem::kMaxCores) +
-        " (the directory sharer mask has one bit per core)");
-  }
-  if (cfg_.htm.stall_retry_interval == 0) {
-    throw std::invalid_argument(
-        "htm.stall_retry_interval = 0: a NACKed request would re-poll at "
-        "the same cycle forever (it must be at least 1)");
-  }
-  if (!std::has_single_bit(cfg_.htm.signature_bits)) {
-    throw std::invalid_argument(
-        "htm.signature_bits = " + std::to_string(cfg_.htm.signature_bits) +
-        " is not a power of two (the Bloom signatures and the conflict "
-        "manager's bit-sliced columns index with a mask)");
-  }
-  const std::uint32_t shards = std::max<std::uint32_t>(1, cfg_.pdes.shards);
-  if (cfg_.mem.num_cores % shards != 0) {
-    throw std::invalid_argument(
-        "pdes.shards must divide mem.num_cores (cores partition into "
-        "equal contiguous blocks)");
-  }
+  validate(cfg_);
+  const std::uint32_t shards = cfg_.pdes.shards;
   map_.shards = shards;
   map_.cores_per_shard = cfg_.mem.num_cores / shards;
 

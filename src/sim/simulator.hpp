@@ -31,6 +31,8 @@ namespace suvtm::sim {
 
 class Simulator {
  public:
+  /// Throws std::invalid_argument naming the field when `cfg` fails
+  /// sim::validate.
   explicit Simulator(const SimConfig& cfg);
 
   const SimConfig& config() const { return cfg_; }

@@ -258,12 +258,11 @@ bool ThreadContext::issue_mem(MemAwaiter& aw, std::coroutine_handle<> h) {
   // Non-transactional fast path: a straight-line L1 hit holds no one up --
   // no coherence traffic, no conflict, no eviction -- so completing it
   // inline (await_suspend returns false) skips the scheduler round trip
-  // entirely. The core runs up to fastpath_quantum cycles ahead (skew_);
+  // entirely. The core runs up to kFastpathQuantum cycles ahead (skew_);
   // every other path through this file flushes the skew back into its next
   // scheduled delay, so dispatch stays deterministic.
-  const Cycle quantum = cfg_.fastpath_quantum;
-  if (quantum != 0 && out.l1_hit && !out.evicted_speculative &&
-      skew_ + lat <= quantum) {
+  if (out.l1_hit && !out.evicted_speculative &&
+      skew_ + lat <= kFastpathQuantum) {
     skew_ += lat;
     sched_.count_inline_event();
     return false;
@@ -395,8 +394,7 @@ bool ThreadContext::issue_compute(ComputeAwaiter& aw,
   breakdown_.add(Bucket::kNoTrans, aw.cycles);
   // Short non-transactional compute joins the fast path: it touches no
   // shared state at all, so there is nothing to synchronize with.
-  const Cycle quantum = cfg_.fastpath_quantum;
-  if (quantum != 0 && skew_ + aw.cycles <= quantum) {
+  if (skew_ + aw.cycles <= kFastpathQuantum) {
     skew_ += aw.cycles;
     sched_.count_inline_event();
     return false;

@@ -222,9 +222,13 @@ class ThreadContext {
   check::Checker* checker_;  // nullptr unless correctness checking is on
   obs::Recorder* obs_;       // nullptr unless tracing/metrics is on
   const RemotePort* port_;   // nullptr unless the machine is sharded
+  /// Non-transactional fast path: a core executing straight-line
+  /// non-transactional L1 hits (and short compute) runs up to this many
+  /// cycles ahead of the scheduler before synchronizing back through it.
+  static constexpr Cycle kFastpathQuantum = 64;
   /// Fast-path run-ahead: cycles this core has consumed beyond the
   /// scheduler clock without a queue round trip. Bounded by
-  /// cfg.fastpath_quantum; folded into the next scheduled delay at every
+  /// kFastpathQuantum; folded into the next scheduled delay at every
   /// synchronization point (miss, stall, txn boundary, backoff, barrier).
   Cycle skew_ = 0;
   StallPoll stall_;

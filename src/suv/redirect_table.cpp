@@ -10,9 +10,7 @@ namespace suvtm::suv {
 RedirectTable::RedirectTable(const sim::SuvParams& p, std::uint32_t num_cores)
     : params_(p) {
   l1_.resize(num_cores);
-  const std::uint32_t sets =
-      std::max<std::uint32_t>(1, p.l2_table_entries / p.l2_table_assoc);
-  l2_sets_.resize(sets);
+  l2_sets_.resize(p.l2_table_entries / p.l2_table_assoc);
   summary_.reserve(num_cores);
   for (std::uint32_t c = 0; c < num_cores; ++c) {
     summary_.emplace_back(p.summary_signature_bits, p.summary_signature_hashes);

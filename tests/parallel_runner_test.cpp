@@ -7,6 +7,7 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "runner/experiment.hpp"
 #include "runner/parallel.hpp"
@@ -85,6 +86,43 @@ TEST(ParallelExecutorTest, ParseJobsEqualsForm) {
   int argc = 2;
   EXPECT_EQ(ParallelExecutor::parse_jobs(argc, argv), 7u);
   EXPECT_EQ(argc, 1);
+}
+
+// Every host thread count from the command line or the environment goes
+// through parse_thread_count. Only strings are parsed here: no executor is
+// ever built from a bad or huge count.
+TEST(ParallelExecutorTest, ThreadCountParserAcceptsOneToTheCap) {
+  EXPECT_EQ(parse_thread_count("1", "--jobs"), 1u);
+  EXPECT_EQ(parse_thread_count("7", "--jobs"), 7u);
+  EXPECT_EQ(parse_thread_count(std::to_string(kMaxThreadCount).c_str(),
+                               "--jobs"),
+            kMaxThreadCount);
+}
+
+TEST(ParallelExecutorTest, ThreadCountParserRejectsBadCountsByName) {
+  const std::string too_many = std::to_string(kMaxThreadCount + 1);
+  for (const char* what :
+       {"--jobs", "--sim-threads", "SUVTM_JOBS", "SUVTM_SIM_THREADS"}) {
+    for (const char* bad : {"", "abc", "0", "-1", "3x", " 2", "100000",
+                            "4294967295", "99999999999999999999",
+                            too_many.c_str()}) {
+      try {
+        parse_thread_count(bad, what);
+        ADD_FAILURE() << what << " accepted '" << bad << "'";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind(what, 0), 0u) << e.what();
+      }
+    }
+  }
+}
+
+TEST(ParallelExecutorTest, ParseJobsRejectsNegativeCount) {
+  const char* raw[] = {"bench", "--jobs", "-1"};
+  char* argv[3];
+  for (int i = 0; i < 3; ++i) argv[i] = const_cast<char*>(raw[i]);
+  int argc = 3;
+  EXPECT_THROW(ParallelExecutor::parse_jobs(argc, argv),
+               std::invalid_argument);
 }
 
 // The tentpole guarantee (ISSUE 1): serial twice, executor jobs=1, and
